@@ -90,13 +90,15 @@ int main() {
               *diff == 0.0 ? "(bit-identical)" : "(MISMATCH!)");
   if (*diff != 0.0) return 1;
 
-  // The merge warmed the coordinator's cache: mining starts immediately.
+  // The merged matrix became the coordinator's memo: mining starts
+  // immediately, with nothing recomputed.
   auto clusters = coordinator.RunKMedoids("token", {.k = 4});
   if (!clusters.ok()) return 1;
   std::printf("mining: k-medoids over the merged matrix, %zu distances "
-              "recomputed (cache hits: %zu)\n",
+              "recomputed (memo hits: %zu)\n",
               static_cast<size_t>(coordinator.cache_stats().misses),
               static_cast<size_t>(coordinator.cache_stats().hits));
+  if (coordinator.cache_stats().misses != 0) return 1;
 
   std::filesystem::remove_all(dir);
   return 0;

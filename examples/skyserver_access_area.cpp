@@ -34,7 +34,7 @@ int main() {
 
   // Provider: the batch mining engine over ciphertexts — DBSCAN and the
   // outlier report share one memoized distance matrix (the second Run* call
-  // is served entirely from the engine's distance cache).
+  // is served entirely from the engine's memo).
   distance::MeasureContext provider_ctx;
   provider_ctx.domains = &*artifacts.encrypted_domains;
   engine::Engine provider(provider_ctx);
@@ -52,11 +52,13 @@ int main() {
       provider.RunOutlierKnn("access-area", oopt, 3).value();
 
   std::printf("provider: DBSCAN found %zu interest clusters, %zu unusual "
-              "queries (DB(p,D) outliers); %zu/%zu distances from cache\n",
+              "queries (DB(p,D) outliers); %zu/%zu distances from the "
+              "memo\n",
               provider_result.cluster_count,
               provider_outliers.outliers.outliers.size(),
-              provider.cache_stats().hits,
-              provider.cache_stats().hits + provider.cache_stats().misses);
+              static_cast<size_t>(provider.cache_stats().hits),
+              static_cast<size_t>(provider.cache_stats().hits +
+                                  provider.cache_stats().misses));
 
   // Owner: verify against plaintext mining through the same engine API.
   distance::MeasureContext owner_ctx;

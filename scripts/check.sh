@@ -56,6 +56,14 @@ echo "== compaction bench: restart cost, long journal vs folded =="
 (cd build && ./bench/bench_compaction --smoke > /dev/null)
 ls -l BENCH_compaction.json
 
+echo "== checkpoint gate: restore + incremental must beat a cold build =="
+# Restores a checkpoint, appends a few queries and rebuilds; exits non-zero
+# unless the result is bit-identical to the cold build AND, for every
+# measure, restore + incremental (best of three) is faster than the cold
+# build timed in the same run — an in-run ratio, robust to host speed.
+(cd build && ./bench/bench_checkpoint --smoke > /dev/null)
+ls -l BENCH_checkpoint.json
+
 echo "== example smoke: compaction + self-healing scrub round-trip =="
 # Compacts in the background, flips a snapshot byte, and exits non-zero
 # unless the strict load fails typed, scrub_on_load quarantines and

@@ -231,7 +231,7 @@ struct WorkerOptions {
   /// worker exits and leaves the tail to the coordinator. <= 0 = wait
   /// forever (not advisable outside tests).
   int idle_timeout_ms = 60000;
-  ThreadPool* pool = nullptr;              ///< not owned; null = serial
+  common::ThreadPool* pool = nullptr;      ///< not owned; null = serial
   obs::MetricsRegistry* metrics = nullptr; ///< null = process default
   obs::TraceBuffer* trace = nullptr;       ///< may be null
   /// Crash-injection scope: null = the process-global injector (DPE_FAULT).
@@ -281,7 +281,7 @@ struct DriverOptions {
   /// kExecutionError. <= 0 = no watchdog.
   int stall_timeout_ms = 120000;
   bool self_finish = true;  ///< false = strictly coordinate, never compute
-  ThreadPool* pool = nullptr;              ///< for self-finished shards
+  common::ThreadPool* pool = nullptr;      ///< for self-finished shards
   obs::MetricsRegistry* metrics = nullptr; ///< null = process default
   obs::TraceBuffer* trace = nullptr;       ///< may be null
   common::FaultInjector* faults = nullptr; ///< null = process global

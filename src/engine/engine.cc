@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -18,8 +18,7 @@ Engine::Engine(const distance::MeasureContext& context, EngineOptions options)
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Default()),
       pool_(options.threads),
-      builder_(&pool_, MatrixBuilderOptions{options.block, metrics_, &trace_}),
-      cache_(DistanceCache::Options{options.cache_max_bytes}) {
+      builder_(&pool_, MatrixBuilderOptions{options.block, metrics_, &trace_}) {
   // The engine's backend choice rides in the context every build receives;
   // builders validate it (loudly) before computing anything. An explicit
   // engine option wins; options.kernel_backend == kAuto (the default)
@@ -98,18 +97,18 @@ Engine::~Engine() {
   // store that is about to be torn down (clean shutdown mid-compaction).
   compaction_stop_.store(true, std::memory_order_release);
   // Telemetry threads stop first: their callbacks walk the registry, the
-  // pool, the cache and the trace buffer — everything torn down below.
+  // pool, the memo and the trace buffer — everything torn down below.
   pusher_.reset();
   telemetry_.reset();
   // Async build tasks capture `this`; members destruct in reverse
   // declaration order, so without this barrier a still-queued task could
-  // touch the cache/store after they are gone.
+  // touch the memo/store after they are gone.
   pool_.Wait();
 }
 
 void Engine::SetLog(std::vector<sql::SelectQuery> log) {
   queries_ = std::move(log);
-  cache_.Clear();
+  ClearCache();
   MutexLock lock(store_mu_);
   store_.reset();
   journal_watermarks_.clear();
@@ -206,7 +205,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixOn(
   local.wall_ms = api_span.elapsed_ms();
   local.backend = common::simd::BackendName(
       common::simd::KernelsFor(context_.kernel_backend).backend);
-  local.cache = cache_.stats();
+  local.cache = cache_stats();
   {
     MutexLock lock(report_mu_);
     last_build_ = local;
@@ -235,118 +234,113 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     return m;
   }
 
-  // Split the upper triangle into cached and missing pairs. The view
-  // resolves the measure's entry map once for the whole scan.
+  // Copy the stored rows out under the memo lock; the rows past them are
+  // the build's work.
   distance::DistanceMatrix m(n);
+  size_t stored = 0;
+  uint64_t epoch = 0;
   obs::TraceSpan scan_span("build.cache_scan", &trace_,
                            &stage_hist("cache_scan"));
-  DistanceCache::MeasureView view = cache_.ViewFor(measure_name);
-  std::vector<std::pair<size_t, size_t>> missing;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (auto d = view.Lookup(static_cast<uint32_t>(i),
-                               static_cast<uint32_t>(j))) {
-        m.set(i, j, *d);
-      } else {
-        missing.emplace_back(i, j);
-      }
+  {
+    MutexLock lock(memo_mu_);
+    epoch = memo_epoch_;
+    if (auto it = memo_.find(measure_name); it != memo_.end()) {
+      stored = std::min<size_t>(it->second.rows, n);
+      ExpandRows(it->second.cells.data(), 0, stored, m);
     }
   }
   scan_span.End();
   report.stages.push_back({"cache_scan", scan_span.elapsed_ms()});
-  report.cells_computed = missing.size();
-  report.cells_cached = report.cells_total - missing.size();
+  report.cells_cached = store::TriangleCells(stored);
+  report.cells_computed = report.cells_total - report.cells_cached;
+  memo_hits_.fetch_add(report.cells_cached, std::memory_order_relaxed);
+  if (stored == n) return m;
 
-  if (missing.size() == n * (n - 1) / 2) {
-    // Cold cache: use the blocked full build, then memoize everything.
-    obs::TraceSpan compute_span("build.compute", &trace_,
-                                &stage_hist("compute"));
-    DPE_ASSIGN_OR_RETURN(m, builder.Build(queries, measure, context_));
-    compute_span.End();
-    report.stages.push_back({"compute", compute_span.elapsed_ms()});
+  obs::TraceSpan compute_span("build.compute", &trace_,
+                              &stage_hist("compute"));
+  DPE_ASSIGN_OR_RETURN(std::vector<double> rows,
+                       builder.BuildRows(queries, measure, context_, stored));
+  ExpandRows(rows.data(), stored, n, m);
+  compute_span.End();
+  report.stages.push_back({"compute", compute_span.elapsed_ms()});
+  memo_misses_.fetch_add(report.cells_computed, std::memory_order_relaxed);
 
-    obs::TraceSpan insert_span("build.cache_insert", &trace_,
-                               &stage_hist("cache_insert"));
-    for (const auto& [i, j] : missing) {
-      cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                    static_cast<uint32_t>(j), m.at(i, j));
+  // Append only onto the rows this build started from: if a concurrent
+  // build, ClearCache or SetLog got there first, these rows are discarded
+  // (the winner's rows are the same values, or belong to another log).
+  obs::TraceSpan insert_span("build.cache_insert", &trace_,
+                             &stage_hist("cache_insert"));
+  bool appended = false;
+  {
+    MutexLock lock(memo_mu_);
+    store::Triangle& triangle = memo_[measure_name];
+    if (memo_epoch_ == epoch && triangle.rows == stored) {
+      triangle.cells.insert(triangle.cells.end(), rows.begin(), rows.end());
+      triangle.rows = n;
+      appended = true;
     }
-    insert_span.End();
-    report.stages.push_back({"cache_insert", insert_span.elapsed_ms()});
-
-    obs::TraceSpan journal_span("build.journal", &trace_,
-                                &stage_hist("journal"));
-    DPE_RETURN_NOT_OK(JournalComputedPairs(measure_name, missing, m));
-    journal_span.End();
-    report.stages.push_back({"journal", journal_span.elapsed_ms()});
-    return m;
   }
+  insert_span.End();
+  report.stages.push_back({"cache_insert", insert_span.elapsed_ms()});
 
-  if (!missing.empty()) {
-    obs::TraceSpan compute_span("build.compute", &trace_,
-                                &stage_hist("compute"));
-    DPE_ASSIGN_OR_RETURN(
-        std::vector<double> distances,
-        builder.ComputePairs(queries, missing, measure, context_));
-    compute_span.End();
-    report.stages.push_back({"compute", compute_span.elapsed_ms()});
-
-    obs::TraceSpan insert_span("build.cache_insert", &trace_,
-                               &stage_hist("cache_insert"));
-    for (size_t p = 0; p < missing.size(); ++p) {
-      const auto [i, j] = missing[p];
-      m.set(i, j, distances[p]);
-      cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                    static_cast<uint32_t>(j), distances[p]);
-    }
-    insert_span.End();
-    report.stages.push_back({"cache_insert", insert_span.elapsed_ms()});
-
+  if (appended) {
     obs::TraceSpan journal_span("build.journal", &trace_,
                                 &stage_hist("journal"));
-    DPE_RETURN_NOT_OK(JournalComputedPairs(measure_name, missing, m));
+    DPE_RETURN_NOT_OK(JournalRows(measure_name, stored, n, rows));
     journal_span.End();
     report.stages.push_back({"journal", journal_span.elapsed_ms()});
   }
   return m;
 }
 
-Status Engine::JournalComputedPairs(
-    const std::string& measure_name,
-    const std::vector<std::pair<size_t, size_t>>& pairs,
-    const distance::DistanceMatrix& m) {
-  if (pairs.empty()) return Status::OK();
+Status Engine::JournalRows(const std::string& measure_name, size_t row_begin,
+                           size_t row_end, const std::vector<double>& rows) {
   MutexLock lock(store_mu_);  // also guards the store_ read
   if (store_ == nullptr) return Status::OK();
-  // Group by the larger index — the newer query's row — so the journal
-  // reads as "row r gained these columns". Rows below the high-water mark
-  // were already persisted (by the snapshot or an earlier journal record):
-  // re-journaling them here would grow the journal without bound whenever a
-  // byte-budgeted cache evicts and recomputes old pairs. Skipped rows are
-  // simply recomputed after a restart — correctness never depends on them.
+  // Rows below the watermark are already persisted (snapshot or an earlier
+  // record). Rows past a gap above it stay unjournaled: a replay could not
+  // place them, so they are recomputed after a restart instead.
   size_t& watermark = journal_watermarks_[measure_name];
-  std::map<uint32_t, std::vector<std::pair<uint32_t, double>>> rows;
-  for (const auto& [i, j] : pairs) {
-    const uint32_t row = static_cast<uint32_t>(std::max(i, j));
-    const uint32_t col = static_cast<uint32_t>(std::min(i, j));
-    if (row < watermark) continue;
-    rows[row].emplace_back(col, m.at(i, j));
-  }
-  if (rows.empty()) return Status::OK();
-  std::vector<store::JournalRecord> records;
-  records.reserve(rows.size());
-  for (auto& [row, cols] : rows) {
-    store::JournalRecord record;
-    record.kind = store::JournalRecord::Kind::kRowComputed;
-    record.measure = measure_name;
-    record.row = row;
-    record.cols = std::move(cols);
-    records.push_back(std::move(record));
-  }
-  DPE_RETURN_NOT_OK(store_->AppendRecords(records));
-  watermark = std::max(watermark, records.back().row + 1ul);
+  if (watermark < row_begin || watermark >= row_end) return Status::OK();
+  const size_t offset =
+      store::TriangleCells(watermark) - store::TriangleCells(row_begin);
+  DPE_RETURN_NOT_OK(store_->AppendRows(
+      measure_name, static_cast<uint32_t>(watermark),
+      static_cast<uint32_t>(row_end),
+      std::span<const double>(rows).subspan(offset)));
+  watermark = row_end;
   MaybeScheduleCompactionLocked();
   return Status::OK();
+}
+
+size_t Engine::cache_size() const {
+  MutexLock lock(memo_mu_);
+  size_t cells = 0;
+  for (const auto& [name, triangle] : memo_) cells += triangle.cells.size();
+  return cells;
+}
+
+void Engine::ClearCache() {
+  {
+    MutexLock lock(memo_mu_);
+    memo_.clear();
+    ++memo_epoch_;
+  }
+  memo_hits_.store(0, std::memory_order_relaxed);
+  memo_misses_.store(0, std::memory_order_relaxed);
+}
+
+void Engine::InstallMemo(const std::string& measure_name,
+                         const distance::DistanceMatrix& m) {
+  if (!options_.enable_cache) return;
+  store::Triangle triangle;
+  triangle.rows = m.size();
+  triangle.cells.reserve(store::TriangleCells(m.size()));
+  for (size_t i = 1; i < m.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) triangle.cells.push_back(m.AtUnchecked(j, i));
+  }
+  MutexLock lock(memo_mu_);
+  memo_[measure_name] = std::move(triangle);
 }
 
 void Engine::MaybeScheduleCompactionLocked() {
@@ -417,9 +411,9 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   opened.set_fsync_policy(options_.fsync_policy);
   // store_mu_ is held across export + write + truncate + attach so journal
   // appends from in-flight async builds cannot interleave: they block, then
-  // land in the fresh (truncated) journal. Pairs such a build inserts after
-  // the Export() below miss this snapshot and are skipped by the watermark;
-  // they are recomputed after a restore — consistency is never at risk.
+  // land in the fresh (truncated) journal. Rows such a build appends after
+  // the copy below miss this snapshot but extend its watermark, so they are
+  // journaled — consistency is never at risk.
   MutexLock lock(store_mu_);
   obs::TraceSpan export_span("checkpoint.export", &trace_);
   store::Snapshot snapshot;
@@ -427,11 +421,16 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   for (const sql::SelectQuery& q : queries_) {
     snapshot.queries.push_back(sql::ToSql(q));
   }
-  snapshot.entries = cache_.Export();
+  {
+    MutexLock memo_lock(memo_mu_);
+    snapshot.triangles = memo_;
+  }
   export_span.End();
   local.stages.push_back({"export", export_span.elapsed_ms()});
   local.queries = snapshot.queries.size();
-  local.cache_entries = snapshot.entries.size();
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    local.cache_entries += triangle.cells.size();
+  }
 
   obs::TraceSpan write_span("checkpoint.write", &trace_);
   DPE_RETURN_NOT_OK(opened.WriteSnapshot(snapshot));
@@ -444,7 +443,7 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   local.stages.push_back({"truncate", truncate_span.elapsed_ms()});
 
   store_ = std::make_shared<store::MatrixStore>(std::move(opened));
-  RebuildWatermarksLocked(snapshot.entries);
+  RebuildWatermarksLocked(snapshot.triangles);
 
   api_span.End();
   local.wall_ms = api_span.elapsed_ms();
@@ -454,15 +453,13 @@ Status Engine::SaveCheckpoint(const std::string& dir,
 }
 
 void Engine::RebuildWatermarksLocked(
-    const std::vector<store::CacheEntry>& entries) {
-  // Watermarks reflect what the snapshot actually covers per measure — the
-  // highest row with an exported entry — not the log size: rows queried
-  // but never built yet must still journal when they are first computed.
+    const std::map<std::string, store::Triangle>& triangles) {
+  // Watermarks reflect what is persisted per measure — not the log size:
+  // rows queried but never built yet must still journal when they are
+  // first computed.
   journal_watermarks_.clear();
-  for (const store::CacheEntry& e : entries) {
-    size_t& watermark = journal_watermarks_[e.measure];
-    watermark = std::max(watermark,
-                         static_cast<size_t>(std::max(e.i, e.j)) + 1);
+  for (const auto& [name, triangle] : triangles) {
+    journal_watermarks_[name] = triangle.rows;
   }
 }
 
@@ -553,74 +550,70 @@ Status Engine::LoadCheckpoint(const std::string& dir,
     appended.push_back(std::move(q));
   }
   const size_t total = log.size() + appended.size();
-  for (const store::JournalRecord& record : journal) {
-    if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-    if (record.row >= total) {
-      return Status::ParseError("checkpoint journal: row " +
-                                std::to_string(record.row) + " outside log of " +
-                                std::to_string(total) + " queries");
-    }
-    for (const auto& col_d : record.cols) {
-      if (col_d.first >= record.row) {
-        return Status::ParseError(
-            "checkpoint journal: row " + std::to_string(record.row) +
-            " has column " + std::to_string(col_d.first) +
-            " (columns must be below their row)");
-      }
-    }
-  }
-
   parse_span.End();
   if (report != nullptr) {
     report->stages.push_back({"parse", parse_span.elapsed_ms()});
   }
 
+  // Journal rows extend the snapshot's triangles; a gap is corruption. All
+  // of it happens on locals, so a bad record still leaves the engine as it
+  // was.
   obs::TraceSpan restore_span("checkpoint.restore", &trace_);
-  queries_ = std::move(log);
-  for (sql::SelectQuery& q : appended) queries_.push_back(std::move(q));
-  cache_.Clear();
-  cache_.Restore(snapshot.entries);
+  std::map<std::string, store::Triangle> triangles =
+      std::move(snapshot.triangles);
+  // Grow each triangle once: room for the replayed rows plus a quarter more
+  // cells (about an eighth more rows), so neither the replay nor the first
+  // appends after the restart copy the whole triangle. Every term is bounded
+  // by bytes actually read.
+  std::map<std::string, size_t> replayed_cells;
   for (const store::JournalRecord& record : journal) {
     if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-    for (const auto& [col, d] : record.cols) {
-      cache_.Insert(record.measure, col, record.row, d);
+    replayed_cells[record.measure] += record.distances.size();
+  }
+  for (auto& [name, triangle] : triangles) {
+    const size_t cells = triangle.cells.size() + replayed_cells[name];
+    triangle.cells.reserve(cells + cells / 4);
+  }
+  for (const store::JournalRecord& record : journal) {
+    if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
+    DPE_RETURN_NOT_OK(store::ApplyRowRecord(record, &triangles));
+  }
+  for (const auto& [name, triangle] : triangles) {
+    if (triangle.rows > total) {
+      return Status::ParseError(
+          "checkpoint: '" + name + "' holds " +
+          std::to_string(triangle.rows) + " rows for a log of " +
+          std::to_string(total) + " queries");
     }
   }
+  std::vector<std::string> measures;
+  for (const auto& [name, triangle] : triangles) measures.push_back(name);
+
+  queries_ = std::move(log);
+  for (sql::SelectQuery& q : appended) queries_.push_back(std::move(q));
+  ClearCache();
   {
     MutexLock lock(store_mu_);
     store_ = std::make_shared<store::MatrixStore>(std::move(opened));
-    // As in SaveCheckpoint, plus whatever the replayed journal covers on top.
-    RebuildWatermarksLocked(snapshot.entries);
-    for (const store::JournalRecord& record : journal) {
-      if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-      size_t& watermark = journal_watermarks_[record.measure];
-      watermark = std::max(watermark, record.row + 1ul);
-    }
+    RebuildWatermarksLocked(triangles);
+  }
+  if (options_.enable_cache) {
+    MutexLock lock(memo_mu_);
+    memo_ = std::move(triangles);
   }
   restore_span.End();
 
   // Graceful degradation: what the scrub had to quarantine is rebuilt here
-  // through the normal build path — the quarantined pairs are exactly the
-  // cache misses of a fresh build over the restored log. Best effort: a
-  // measure this engine cannot build (custom, unregistered) leaves its
-  // cells to the caller's next explicit BuildMatrix.
+  // through the normal build path — the quarantined cells are exactly the
+  // rows a fresh build finds missing. Best effort: a measure this engine
+  // cannot build (custom, unregistered) leaves its cells to the caller's
+  // next explicit BuildMatrix.
   uint64_t cells_recomputed = 0;
   if (scrubbed && (scrub.snapshot_rewritten || scrub.cells_quarantined > 0 ||
                    scrub.journal_rewritten)) {
     obs::TraceSpan recompute_span("checkpoint.recompute", &trace_);
-    std::set<std::string> measures;
-    // The snapshot core's metadata names every measure the checkpoint
-    // covered — including ones whose entries the quarantine took wholesale,
-    // which surviving entries/journal records alone would never mention.
-    measures.insert(snapshot.measures.begin(), snapshot.measures.end());
-    for (const store::CacheEntry& e : snapshot.entries) {
-      measures.insert(e.measure);
-    }
-    for (const store::JournalRecord& record : journal) {
-      if (record.kind == store::JournalRecord::Kind::kRowComputed) {
-        measures.insert(record.measure);
-      }
-    }
+    // The snapshot keeps a (possibly empty) triangle for every measure it
+    // covered, so `measures` names even those the quarantine took wholesale.
     for (const std::string& name : measures) {
       BuildReport build;
       if (BuildMatrix(name, &build).ok()) {
@@ -754,7 +747,7 @@ Result<distance::DistanceMatrix> Engine::MergeShards(
     const std::string& measure_name, size_t shard_count,
     const std::string& dir) {
   // Fail a typo'd measure name fast (as RunShard does), before it can warm
-  // the cache with entries no BuildMatrix call could ever reach.
+  // the memo with a triangle no BuildMatrix call could ever reach.
   DPE_RETURN_NOT_OK(MeasureFor(measure_name).status());
   DPE_ASSIGN_OR_RETURN(store::MatrixStore store,
                        store::MatrixStore::OpenExisting(dir));
@@ -775,18 +768,10 @@ Result<distance::DistanceMatrix> Engine::MergeShards(
         " queries but this engine's log holds " +
         std::to_string(queries_.size()));
   }
-  if (options_.enable_cache) {
-    // Warm the cache so mining over the merged matrix (or an incremental
-    // rebuild after AddQuery) reuses the shards' work. Not journaled: the
-    // shard files on disk already persist these pairs.
-    const size_t n = merged.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j), merged.at(i, j));
-      }
-    }
-  }
+  // Mining over the merged matrix (or an incremental rebuild after
+  // AddQuery) reuses the shards' work. Not journaled: the shard files on
+  // disk already persist these cells.
+  InstallMemo(measure_name, merged);
   return merged;
 }
 
@@ -888,17 +873,9 @@ Result<DriveReport> Engine::DriveShards(const std::string& measure_name,
                        driver.Drive(store, measure_name, queries_, *measure,
                                     context_, plan, *board));
 
-  if (options_.enable_cache) {
-    // Warm the cache exactly as MergeShards does: the drive's work should
-    // feed incremental rebuilds and mining the same way.
-    const size_t n = report.matrix.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j), report.matrix.at(i, j));
-      }
-    }
-  }
+  // As in MergeShards: the drive's work feeds incremental rebuilds and
+  // mining the same way.
+  InstallMemo(measure_name, report.matrix);
   return report;
 }
 
@@ -912,7 +889,7 @@ BuildReport Engine::last_build_report() const {
 obs::StatsReport Engine::Stats() const {
   // Gauges are sampled state, not event streams — refresh them from their
   // sources right before the snapshot so the export is current.
-  const ThreadPool::Stats pool_stats = pool_.GetStats();
+  const common::ThreadPool::Stats pool_stats = pool_.GetStats();
   metrics_->gauge("threadpool.threads")
       .Set(static_cast<double>(pool_.thread_count()));
   metrics_->gauge("threadpool.tasks_executed")
@@ -923,14 +900,13 @@ obs::StatsReport Engine::Stats() const {
       .Set(static_cast<double>(pool_stats.busy_ns) / 1e6);
   metrics_->gauge("threadpool.queue_depth")
       .Set(static_cast<double>(pool_.queue_depth()));
-  const DistanceCache::Stats cache_stats = cache_.stats();
-  metrics_->gauge("cache.hits").Set(static_cast<double>(cache_stats.hits));
-  metrics_->gauge("cache.misses").Set(static_cast<double>(cache_stats.misses));
-  metrics_->gauge("cache.evictions")
-      .Set(static_cast<double>(cache_stats.evictions));
-  metrics_->gauge("cache.entries").Set(static_cast<double>(cache_.size()));
+  const CacheStats memo_stats = cache_stats();
+  const size_t memo_cells = cache_size();
+  metrics_->gauge("cache.hits").Set(static_cast<double>(memo_stats.hits));
+  metrics_->gauge("cache.misses").Set(static_cast<double>(memo_stats.misses));
+  metrics_->gauge("cache.entries").Set(static_cast<double>(memo_cells));
   metrics_->gauge("cache.bytes_used")
-      .Set(static_cast<double>(cache_.bytes_used()));
+      .Set(static_cast<double>(memo_cells * sizeof(double)));
   {
     MutexLock lock(store_mu_);
     if (store_ != nullptr) {
@@ -950,12 +926,12 @@ obs::StatsReport Engine::Stats() const {
   }
   report.stages = last.stages;
 
-  const uint64_t lookups = cache_stats.hits + cache_stats.misses;
+  const uint64_t lookups = memo_stats.hits + memo_stats.misses;
   char hit_rate[32];
   std::snprintf(hit_rate, sizeof(hit_rate), "%.4f",
                 lookups == 0
                     ? 0.0
-                    : static_cast<double>(cache_stats.hits) /
+                    : static_cast<double>(memo_stats.hits) /
                           static_cast<double>(lookups));
   report.info = {
       {"kernel_backend",

@@ -1,22 +1,28 @@
 // The batch mining engine — the facade every scaling path goes through.
 //
-//   Engine e(context);                 // owns a thread pool + distance cache
+//   Engine e(context);                 // owns a thread pool + distance memo
 //   e.SetLog(scenario.log);
-//   auto m   = e.BuildMatrix("token");           // parallel, blocked, cached
+//   auto m   = e.BuildMatrix("token");           // parallel, blocked, memoized
 //   auto km  = e.RunKMedoids("token", {.k = 4});
 //   e.AddQuery(q);                               // incremental: only the new
 //   auto m2  = e.BuildMatrix("token");           // row is recomputed
 //
-//   e.SaveCheckpoint("/var/lib/dpe/log-a");      // snapshot log + cache
+//   e.SaveCheckpoint("/var/lib/dpe/log-a");      // snapshot log + memo
 //   // ... process restarts ...
 //   Engine e2(context);
-//   e2.LoadCheckpoint("/var/lib/dpe/log-a");     // resume: cached pairs back
+//   e2.LoadCheckpoint("/var/lib/dpe/log-a");     // resume: memoized rows back
 //   e2.AddQuery(q2);                             // journaled
 //   auto m3 = e2.BuildMatrix("token");           // only the new row costs
 //
 // The engine works identically on the owner side (plaintext context) and the
 // provider side (encrypted artifacts in the context) — exactly like the
 // underlying measures.
+//
+// The memo is the matrix itself: the log only grows (AddQuery appends,
+// SetLog resets), so each measure's distances are kept as one packed lower
+// triangle by rows (store::Triangle). Its row count is the watermark — a
+// build copies rows [0, rows) out and computes only rows [rows, n) — and
+// the same bytes are what the snapshot and the journal persist.
 
 #ifndef DPE_ENGINE_ENGINE_H_
 #define DPE_ENGINE_ENGINE_H_
@@ -30,13 +36,12 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "distance/matrix.h"
-#include "engine/distance_cache.h"
 #include "engine/driver.h"
 #include "engine/matrix_builder.h"
 #include "engine/measure_registry.h"
 #include "engine/shard.h"
-#include "engine/thread_pool.h"
 #include "mining/dbscan.h"
 #include "mining/hierarchical.h"
 #include "mining/kmedoids.h"
@@ -80,11 +85,9 @@ struct EngineOptions {
   /// matrix/shard frames but not journal appends, kAlways also syncs every
   /// journal append. Applied to every store this engine opens.
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kOnCheckpoint;
-  /// Memoize distances across BuildMatrix / Run* calls and query insertions.
+  /// Memoize distances across BuildMatrix / Run* calls and query insertions
+  /// (8 bytes per pair: one packed lower triangle per measure).
   bool enable_cache = true;
-  /// Distance-cache eviction budget in bytes (LRU); 0 = unbounded. See
-  /// DistanceCache::kEntryBytes for the per-pair cost.
-  size_t cache_max_bytes = 0;
   /// Background checkpoint compaction: when a checkpoint is attached and
   /// the on-disk journal exceeds compaction_trigger_bytes, a task on the
   /// engine's pool folds it into the next snapshot generation while appends
@@ -138,25 +141,33 @@ struct EngineOptions {
   int telemetry_push_max_backoff_ms = 30000;
 };
 
+/// Cumulative memo counters (reset by SetLog, ClearCache and
+/// LoadCheckpoint): cells served from stored rows and cells computed.
+struct CacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 /// What one BuildMatrix call did and where its time went. `stages` covers
-/// the cache scan, the distance compute, the cache insert and the journal
-/// append — their sum tracks `wall_ms` closely (the remainder is bookkeeping).
+/// the copy-out of stored rows (cache_scan), the distance compute, the row
+/// append (cache_insert) and the journal append — their sum tracks
+/// `wall_ms` closely (the remainder is bookkeeping).
 struct BuildReport {
   std::string measure;
   size_t n = 0;                 ///< log size at build time
   uint64_t cells_total = 0;     ///< upper-triangle cells, n*(n-1)/2
-  uint64_t cells_cached = 0;    ///< served from the distance cache
+  uint64_t cells_cached = 0;    ///< copied out of the memo's stored rows
   uint64_t cells_computed = 0;  ///< computed fresh this call
   std::string backend;          ///< resolved SIMD kernel backend name
   std::vector<obs::StageTiming> stages;
   double wall_ms = 0.0;
-  DistanceCache::Stats cache;   ///< cache lifetime stats after this build
+  CacheStats cache;             ///< memo counters after this build
 };
 
 /// What SaveCheckpoint wrote, and where its time went.
 struct CheckpointSaveReport {
   uint64_t queries = 0;        ///< log entries in the snapshot
-  uint64_t cache_entries = 0;  ///< cached distances exported
+  uint64_t cache_entries = 0;  ///< memoized cells (triangle cells) written
   std::vector<obs::StageTiming> stages;  ///< export / write / truncate
   double wall_ms = 0.0;
 };
@@ -199,15 +210,15 @@ class Engine {
 
   /// Measure name -> factory table; custom measures register here.
   MeasureRegistry& registry() { return registry_; }
-  const ThreadPool& pool() const { return pool_; }
+  const common::ThreadPool& pool() const { return pool_; }
 
   // -- Log management --------------------------------------------------------
 
-  /// Replaces the query log (drops the cache — ids restart from 0 — and
+  /// Replaces the query log (drops the memo — ids restart from 0 — and
   /// detaches any checkpoint store; the new state needs a fresh
   /// SaveCheckpoint).
   void SetLog(std::vector<sql::SelectQuery> log);
-  /// Appends one query, keeping all cached pairwise distances valid. With a
+  /// Appends one query, keeping all memoized distances valid. With a
   /// checkpoint attached, the query is journaled so a restart replays it.
   Status AddQuery(sql::SelectQuery query);
   size_t log_size() const { return queries_.size(); }
@@ -215,8 +226,9 @@ class Engine {
 
   // -- Batch mining API ------------------------------------------------------
 
-  /// Pairwise matrix of the current log under the named measure. Cached
-  /// pairs are reused; missing pairs are computed in parallel. When
+  /// Pairwise matrix of the current log under the named measure. The memo's
+  /// stored rows are copied out; only the missing rows are computed, in
+  /// parallel, and appended to the memo. When
   /// `report` is non-null it receives the build's stage timings and cell
   /// counts (also retrievable afterwards via last_build_report()).
   Result<distance::DistanceMatrix> BuildMatrix(const std::string& measure,
@@ -225,7 +237,7 @@ class Engine {
   /// Non-blocking BuildMatrix: the build is scheduled on the engine's pool
   /// and the caller overlaps other work (encryption I/O, another measure's
   /// build) with it. The task builds serially inside its pool slot (nested
-  /// ParallelFor on the same pool could starve), shares the distance cache,
+  /// ParallelFor on the same pool could starve), shares the memo,
   /// and uses a private measure instance so overlapping builds never race.
   /// The log must not be mutated while async builds are in flight.
   std::future<Result<distance::DistanceMatrix>> BuildMatrixAsync(
@@ -267,8 +279,9 @@ class Engine {
   /// Reads the `shard_count` shard files of `measure` from `dir`, validates
   /// their manifests, merges them, and verifies the merged matrix covers
   /// this engine's log (wrong-n shard sets are InvalidArgument). The merged
-  /// pairs warm the distance cache (nothing is journaled — the shards on
-  /// disk already persist the work), so subsequent Run* calls reuse them.
+  /// matrix becomes the measure's memoized triangle (nothing is journaled —
+  /// the shards on disk already persist the work), so subsequent Run* calls
+  /// reuse it.
   Result<distance::DistanceMatrix> MergeShards(const std::string& measure,
                                                size_t shard_count,
                                                const std::string& dir);
@@ -298,7 +311,7 @@ class Engine {
 
   /// The coordinator side: merges shards incrementally as they land,
   /// reclaims expired leases, self-finishes abandoned ranges, and (like
-  /// MergeShards) warms the distance cache with the merged pairs. While a
+  /// MergeShards) installs the merged matrix as the measure's memo. While a
   /// drive is active, Stats()/the /stats endpoint carry its live lease
   /// table. Completes even if every worker dies.
   Result<DriveReport> DriveShards(const std::string& measure,
@@ -308,7 +321,7 @@ class Engine {
   // -- Persistence -----------------------------------------------------------
 
   /// Checkpoints the full incremental-mining state (query log as canonical
-  /// SQL + every cached distance) into `dir`, truncates the journal, and
+  /// SQL + every memoized triangle) into `dir`, truncates the journal, and
   /// attaches the store: subsequent AddQuery calls and freshly computed
   /// matrix rows are journaled incrementally. `report` (optional) receives
   /// what was written and the per-stage timings.
@@ -316,8 +329,8 @@ class Engine {
                         CheckpointSaveReport* report = nullptr);
 
   /// Restores the state a SaveCheckpoint (plus any journal written since)
-  /// captured in `dir`: the query log is re-parsed, the distance cache is
-  /// repopulated, journal records are replayed in order, and the store
+  /// captured in `dir`: the query log is re-parsed, the memo's triangles
+  /// are restored, journal records are replayed in order, and the store
   /// stays attached for further journaling. NotFound if `dir` holds no
   /// snapshot; ParseError on corruption (never UB). A torn journal tail is
   /// recovered or rejected per EngineOptions::tolerate_torn_journal; when
@@ -347,12 +360,18 @@ class Engine {
     return store_ != nullptr ? store_->generation() : 0;
   }
 
-  // -- Cache introspection ---------------------------------------------------
+  // -- Memo introspection ----------------------------------------------------
 
-  DistanceCache::Stats cache_stats() const { return cache_.stats(); }
-  size_t cache_size() const { return cache_.size(); }
-  size_t cache_bytes_used() const { return cache_.bytes_used(); }
-  void ClearCache() { cache_.Clear(); }
+  CacheStats cache_stats() const {
+    return {memo_hits_.load(std::memory_order_relaxed),
+            memo_misses_.load(std::memory_order_relaxed)};
+  }
+  /// Memoized cells (pairs) across every measure.
+  size_t cache_size() const EXCLUDES(memo_mu_);
+  /// 8 bytes per memoized cell.
+  size_t cache_bytes_used() const { return cache_size() * sizeof(double); }
+  /// Empties every measure's triangle and resets the counters.
+  void ClearCache() EXCLUDES(memo_mu_);
 
   // -- Observability ---------------------------------------------------------
 
@@ -398,7 +417,7 @@ class Engine {
   Result<const distance::QueryDistanceMeasure*> MeasureFor(
       const std::string& name) EXCLUDES(measures_mu_);
 
-  /// The cache-aware build over an explicit log/builder/measure — shared by
+  /// The memo-aware build over an explicit log/builder/measure — shared by
   /// the sync path (pool-backed builder) and async tasks (serial builder on
   /// a log snapshot). Fills `report` (when non-null) and stores a copy as
   /// the engine's last build report.
@@ -408,27 +427,32 @@ class Engine {
       const distance::QueryDistanceMeasure& measure,
       const std::string& measure_name, BuildReport* report = nullptr);
 
-  /// The staged body of BuildMatrixOn: cache scan, compute, cache insert,
-  /// journal — each stage timed into `report.stages` (and the build.stage_ms
-  /// histograms / trace buffer).
+  /// The staged body of BuildMatrixOn: copy-out of stored rows
+  /// (cache_scan), compute, row append (cache_insert), journal — each stage
+  /// timed into `report.stages` (and the build.stage_ms histograms / trace
+  /// buffer).
   Result<distance::DistanceMatrix> BuildMatrixStaged(
       const MatrixBuilder& builder,
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
       const std::string& measure_name, BuildReport& report);
 
-  /// Journals freshly computed pairs as per-row records (grouped by the
-  /// larger index — the newer query), reading the values out of `m`.
-  /// No-op when no store is attached.
-  Status JournalComputedPairs(
-      const std::string& measure_name,
-      const std::vector<std::pair<size_t, size_t>>& pairs,
-      const distance::DistanceMatrix& m) EXCLUDES(store_mu_);
+  /// Journals freshly computed rows [row_begin, row_end) of `measure_name`
+  /// (`rows` packed, starting at row_begin) — only the part that extends
+  /// the measure's persisted watermark contiguously. No-op when no store is
+  /// attached.
+  Status JournalRows(const std::string& measure_name, size_t row_begin,
+                     size_t row_end, const std::vector<double>& rows)
+      EXCLUDES(store_mu_);
 
-  /// Resets the per-measure watermarks to what `entries` (a snapshot's
-  /// cache export) actually covers: the highest row seen per measure.
-  void RebuildWatermarksLocked(const std::vector<store::CacheEntry>& entries)
+  /// Resets the per-measure watermarks to the rows `triangles` hold.
+  void RebuildWatermarksLocked(
+      const std::map<std::string, store::Triangle>& triangles)
       REQUIRES(store_mu_);
+
+  /// Replaces the measure's memo with the upper triangle of `m`.
+  void InstallMemo(const std::string& measure_name,
+                   const distance::DistanceMatrix& m) EXCLUDES(memo_mu_);
 
   /// Schedules a background compaction cycle on the pool when one is due
   /// (compaction enabled, store attached, journal past the trigger, no
@@ -445,9 +469,18 @@ class Engine {
   obs::MetricsRegistry* metrics_;  ///< never null after construction
   obs::TraceBuffer trace_;
   MeasureRegistry registry_ = MeasureRegistry::WithBuiltins();
-  ThreadPool pool_;
+  common::ThreadPool pool_;
   MatrixBuilder builder_;
-  DistanceCache cache_;
+  /// The memo: one packed lower triangle per measure. Rows are computed
+  /// outside the lock and appended under it only if the triangle still has
+  /// the rows (and the epoch) the build started from.
+  mutable Mutex memo_mu_;
+  std::map<std::string, store::Triangle> memo_ GUARDED_BY(memo_mu_);
+  /// Bumped by SetLog, ClearCache and LoadCheckpoint: a build that started
+  /// before one of them must not append its rows afterwards.
+  uint64_t memo_epoch_ GUARDED_BY(memo_mu_) = 0;
+  std::atomic<uint64_t> memo_hits_{0};
+  std::atomic<uint64_t> memo_misses_{0};
   mutable Mutex report_mu_;
   BuildReport last_build_ GUARDED_BY(report_mu_);
   std::vector<sql::SelectQuery> queries_;
@@ -462,11 +495,10 @@ class Engine {
   /// without racing it (the publish step re-checks pointer identity under
   /// the lock and aborts if the store changed).
   std::shared_ptr<store::MatrixStore> store_ GUARDED_BY(store_mu_);
-  /// Per-measure high-water mark: rows below it are already persisted
-  /// (snapshot or journal) for that measure, so recomputes of evicted
-  /// pairs are never re-journaled (bounded journal growth). A measure
-  /// first built after the checkpoint starts at 0 and journals its full
-  /// matrix exactly once.
+  /// Per-measure persisted row count (snapshot + journal): a build journals
+  /// only rows that extend it contiguously, so a row is journaled at most
+  /// once. A measure first built after the checkpoint starts at 0 and
+  /// journals its full triangle exactly once.
   std::map<std::string, size_t> journal_watermarks_ GUARDED_BY(store_mu_);
   /// The lease board of the drive (or worker loop) currently running, if
   /// any — what the /stats lease table snapshots. shared_ptr because the

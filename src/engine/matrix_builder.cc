@@ -5,6 +5,7 @@
 
 #include "common/simd.h"
 #include "engine/shard.h"
+#include "store/codec.h"
 
 namespace dpe::engine {
 
@@ -99,9 +100,125 @@ Result<distance::DistanceMatrix> MatrixBuilder::Build(
     const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context) const {
+  DPE_ASSIGN_OR_RETURN(std::vector<double> rows,
+                       BuildRows(queries, measure, context, 0));
+  distance::DistanceMatrix m(queries.size());
+  ExpandRows(rows.data(), 0, queries.size(), m);
+  return m;
+}
+
+Result<std::vector<double>> MatrixBuilder::BuildRows(
+    const std::vector<sql::SelectQuery>& queries,
+    const distance::QueryDistanceMeasure& measure,
+    const distance::MeasureContext& context, size_t row_begin) const {
   DPE_RETURN_NOT_OK(ValidateOptions());
-  return BuildTiles(queries, measure, context, 0,
-                    TileCount(queries.size(), options_.block));
+  DPE_RETURN_NOT_OK(common::simd::ValidateBackend(context.kernel_backend));
+  const size_t n = queries.size();
+  if (row_begin > n) {
+    return Status::OutOfRange("matrix builder: row " +
+                              std::to_string(row_begin) + " is past a log of " +
+                              std::to_string(n) + " queries");
+  }
+  const uint64_t base = store::TriangleCells(row_begin);
+  std::vector<double> rows(store::TriangleCells(n) - base);
+  if (rows.empty()) return rows;
+
+  // Bands of whole rows holding about one tile's worth of cells each (row
+  // i has i cells), so pool tasks carry equal work however skewed the row
+  // range is.
+  const size_t block = options_.block;
+  const uint64_t band_cells = std::max<uint64_t>(1, uint64_t{block} * block);
+  std::vector<size_t> bounds{row_begin};
+  uint64_t acc = 0;
+  for (size_t i = row_begin; i + 1 < n; ++i) {
+    acc += i;
+    if (acc >= band_cells) {
+      bounds.push_back(i + 1);
+      acc = 0;
+    }
+  }
+  bounds.push_back(n);
+
+  obs::MetricsRegistry& metrics = Metrics();
+  obs::Counter& distance_calls = metrics.counter(
+      "distance.calls", {{"measure", std::string(measure.Name())}});
+  metrics
+      .gauge("kernel.backend",
+             {{"backend",
+               common::simd::BackendName(
+                   common::simd::KernelsFor(context.kernel_backend).backend)}})
+      .Set(1);
+
+  // Every new row pairs with every column below it, so every query is used.
+  obs::TraceSpan prepare_span(
+      "build.prepare", options_.trace,
+      &metrics.histogram("build.stage_ms", {{"stage", "prepare"}}));
+  distance::FeatureCache features;
+  DPE_ASSIGN_OR_RETURN(distance::MeasureContext ctx,
+                       PrepareSelected(queries, std::vector<bool>(n, true),
+                                       measure, context, &features));
+  prepare_span.End();
+
+  obs::TraceSpan rows_span(
+      "build.rows", options_.trace,
+      &metrics.histogram("build.stage_ms", {{"stage", "rows"}}));
+  const bool band_spans =
+      options_.trace != nullptr && options_.trace->enabled();
+  DPE_RETURN_NOT_OK(common::ParallelForStatus(
+      pool_, 0, bounds.size() - 1, 1,
+      [&](size_t begin, size_t end) -> Status {
+        // Pool workers inherit the build's trace buffer for the duration of
+        // this chunk, so crypto spans fired from measure code on a worker
+        // thread land in the same trace as the build that caused them.
+        obs::ScopedAmbientTrace ambient(options_.trace);
+        for (size_t band = begin; band < end; ++band) {
+          const size_t lo = bounds[band];
+          const size_t hi = bounds[band + 1];
+          std::optional<obs::TraceSpan> band_span;
+          if (band_spans) {
+            band_span.emplace("build.band." + std::to_string(band),
+                              options_.trace);
+          }
+          // Column blocks outermost: one block of column features stays
+          // warm while every row of the band pairs with it.
+          for (size_t jb = 0; jb + 1 < hi; jb += block) {
+            for (size_t i = std::max(lo, jb + 1); i < hi; ++i) {
+              double* row = rows.data() + (store::TriangleCells(i) - base);
+              const size_t j_end = std::min(jb + block, i);
+              for (size_t j = jb; j < j_end; ++j) {
+                DPE_ASSIGN_OR_RETURN(
+                    row[j], measure.Distance(queries[j], queries[i], ctx));
+              }
+            }
+          }
+          const uint64_t cells =
+              store::TriangleCells(hi) - store::TriangleCells(lo);
+          distance_calls.Increment(cells);
+          if (options_.progress_cells != nullptr) {
+            options_.progress_cells->fetch_add(cells,
+                                               std::memory_order_relaxed);
+          }
+        }
+        return Status::OK();
+      }));
+  rows_span.End();
+  return rows;
+}
+
+void ExpandRows(const double* packed, size_t row_begin, size_t row_end,
+                distance::DistanceMatrix& m) {
+  // Each cell lands twice: in row i (sequential) and in column i of row j
+  // (strided). Blocking the columns keeps the 64 destination rows of the
+  // strided writes cache-resident while i sweeps down the triangle.
+  constexpr size_t kColumnBlock = 64;
+  const uint64_t base = store::TriangleCells(row_begin);
+  for (size_t jb = 0; jb + 1 < row_end; jb += kColumnBlock) {
+    for (size_t i = std::max(row_begin, jb + 1); i < row_end; ++i) {
+      const double* row = packed + (store::TriangleCells(i) - base);
+      const size_t j_end = std::min(jb + kColumnBlock, i);
+      for (size_t j = jb; j < j_end; ++j) m.SetUnchecked(i, j, row[j]);
+    }
+  }
 }
 
 Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
@@ -194,55 +311,6 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
       }));
   tiles_span.End();
   return m;
-}
-
-Result<std::vector<double>> MatrixBuilder::ComputePairs(
-    const std::vector<sql::SelectQuery>& queries,
-    const std::vector<std::pair<size_t, size_t>>& pairs,
-    const distance::QueryDistanceMeasure& measure,
-    const distance::MeasureContext& context) const {
-  DPE_RETURN_NOT_OK(ValidateOptions());
-  DPE_RETURN_NOT_OK(common::simd::ValidateBackend(context.kernel_backend));
-  const size_t n = queries.size();
-  for (const auto& [i, j] : pairs) {
-    if (i >= n || j >= n) {
-      return Status::OutOfRange("pair index outside query log");
-    }
-  }
-
-  // Featurize only the queries the pair list references.
-  std::vector<bool> used(n, false);
-  for (const auto& [i, j] : pairs) {
-    used[i] = true;
-    used[j] = true;
-  }
-  distance::FeatureCache features;
-  DPE_ASSIGN_OR_RETURN(
-      distance::MeasureContext ctx,
-      PrepareSelected(queries, used, measure, context, &features));
-
-  std::vector<double> out(pairs.size(), 0.0);
-  DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      pool_, 0, pairs.size(),
-      std::max<size_t>(1, options_.block * options_.block / 2),
-      [&](size_t begin, size_t end) -> Status {
-        obs::ScopedAmbientTrace ambient(options_.trace);
-        for (size_t p = begin; p < end; ++p) {
-          const auto [i, j] = pairs[p];
-          if (i == j) continue;  // zero diagonal by definition
-          DPE_ASSIGN_OR_RETURN(out[p],
-                               measure.Distance(queries[i], queries[j], ctx));
-        }
-        return Status::OK();
-      }));
-  uint64_t computed = 0;
-  for (const auto& [i, j] : pairs) {
-    if (i != j) ++computed;
-  }
-  Metrics()
-      .counter("distance.calls", {{"measure", std::string(measure.Name())}})
-      .Increment(computed);
-  return out;
 }
 
 }  // namespace dpe::engine

@@ -7,25 +7,28 @@
 // path consumes precomputed features instead of re-lexing SQL per pair.
 // That turns the matrix build from O(n²·lex) into O(n·lex + n²·merge).
 //
-// The upper triangle is tiled into `block` x `block` blocks; each block is
-// one pool task, so workers touch disjoint, contiguous stripes of the
-// matrix (cache-friendly) and no two tasks ever write the same cell. Every
-// cell carries the exact value the serial, un-featurized
-// DistanceMatrix::Compute produces (featurization preserves the distances
-// bit-for-bit), so the parallel result is bit-identical to the serial one —
-// a tested guarantee, not a best-effort property.
+// The one build primitive is BuildRows: it computes rows [row_begin, n) of
+// the packed lower triangle (store::Triangle — row i holds d(0..i-1, i)),
+// one pool task per band of rows balanced by cell count, columns blocked
+// by `block` inside each band. A cold build is BuildRows from row 0; an
+// incremental build after AddQuery is BuildRows from the memo's row count.
+// BuildTiles covers the shard path's tile ranges. Every cell carries the
+// exact value the serial, un-featurized DistanceMatrix::Compute produces
+// (featurization preserves the distances bit-for-bit, and each cell is
+// computed with the smaller index first, as Compute does), so the parallel
+// result is bit-identical to the serial one — a tested guarantee, not a
+// best-effort property.
 
 #ifndef DPE_ENGINE_MATRIX_BUILDER_H_
 #define DPE_ENGINE_MATRIX_BUILDER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "distance/features.h"
 #include "distance/matrix.h"
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -48,8 +51,8 @@ struct MatrixBuilderOptions {
   obs::TraceBuffer* trace = nullptr;
 
   /// Optional live progress conduit: when set, the builder adds each
-  /// completed tile's cell count here (relaxed, one add per tile — same
-  /// cadence as the distance.calls counter). Lets a long build be watched
+  /// completed tile's (or row band's) cell count here (relaxed, one add per
+  /// tile or band — same cadence as the distance.calls counter). Lets a long build be watched
   /// from another thread (the shard lease table reports it) without
   /// touching the metrics registry per tile. Not owned; must outlive the
   /// build.
@@ -59,11 +62,11 @@ struct MatrixBuilderOptions {
 class MatrixBuilder {
  public:
   /// `pool` may be null: everything then runs serially on the caller.
-  explicit MatrixBuilder(ThreadPool* pool, MatrixBuilderOptions options = {})
+  explicit MatrixBuilder(common::ThreadPool* pool,
+                         MatrixBuilderOptions options = {})
       : pool_(pool), options_(options) {}
 
-  /// Full pairwise matrix over `queries` (precomputes features, then calls
-  /// measure.Prepare, then fills the tiles).
+  /// Full pairwise matrix over `queries`: BuildRows from row 0, expanded.
   Result<distance::DistanceMatrix> Build(
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
@@ -82,14 +85,15 @@ class MatrixBuilder {
       const distance::MeasureContext& context, size_t tile_begin,
       size_t tile_end) const;
 
-  /// d(queries[i], queries[j]) for an explicit pair list — the distance
-  /// cache's miss path. Returns one value per pair, in input order. Only
-  /// the queries referenced by `pairs` are featurized.
-  Result<std::vector<double>> ComputePairs(
+  /// Rows [row_begin, n) of the packed lower triangle over `queries`, back
+  /// to back: row i is d(queries[j], queries[i]) for j < i, starting at
+  /// offset TriangleCells(i) - TriangleCells(row_begin). Precomputes
+  /// features, calls measure.Prepare, then computes the rows in bands
+  /// balanced by cell count. OutOfRange if row_begin > n.
+  Result<std::vector<double>> BuildRows(
       const std::vector<sql::SelectQuery>& queries,
-      const std::vector<std::pair<size_t, size_t>>& pairs,
       const distance::QueryDistanceMeasure& measure,
-      const distance::MeasureContext& context) const;
+      const distance::MeasureContext& context, size_t row_begin) const;
 
  private:
   /// InvalidArgument unless the options are usable (block >= 1). Every
@@ -118,9 +122,14 @@ class MatrixBuilder {
       const distance::MeasureContext& context,
       distance::FeatureCache* features) const;
 
-  ThreadPool* pool_;  ///< not owned
+  common::ThreadPool* pool_;  ///< not owned
   MatrixBuilderOptions options_;
 };
+
+/// Writes rows [row_begin, row_end) of a packed lower triangle (`packed`
+/// starts at row row_begin) into both halves of `m`.
+void ExpandRows(const double* packed, size_t row_begin, size_t row_end,
+                distance::DistanceMatrix& m);
 
 }  // namespace dpe::engine
 

@@ -42,7 +42,7 @@
 #include "common/tiles.h"
 #include "distance/matrix.h"
 #include "distance/measure.h"
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/matrix_store.h"
@@ -96,7 +96,7 @@ class ShardWorker {
   /// `metrics` (null = process default registry) receives
   /// shard.cells_computed{matrix=...} and shard.exports; `trace` (optional)
   /// captures a "shard.run" span plus the builder's spans.
-  explicit ShardWorker(ThreadPool* pool,
+  explicit ShardWorker(common::ThreadPool* pool,
                        obs::MetricsRegistry* metrics = nullptr,
                        obs::TraceBuffer* trace = nullptr)
       : pool_(pool), metrics_(metrics), trace_(trace) {}
@@ -123,7 +123,7 @@ class ShardWorker {
       size_t shard_index, store::MatrixStore& store) const;
 
  private:
-  ThreadPool* pool_;               ///< not owned
+  common::ThreadPool* pool_;       ///< not owned
   obs::MetricsRegistry* metrics_;  ///< not owned; null = default registry
   obs::TraceBuffer* trace_;        ///< not owned; may be null
   std::atomic<uint64_t>* progress_cells_ = nullptr;  ///< not owned; optional

@@ -155,6 +155,20 @@ const char* CompareOpSql(CompareOp op) {
   return "?";
 }
 
+Predicate::~Predicate() {
+  // Detach every descendant onto a heap worklist first; each node popped
+  // has no children left by the time it is destroyed.
+  std::vector<PredicatePtr> pending = std::move(children);
+  while (!pending.empty()) {
+    PredicatePtr node = std::move(pending.back());
+    pending.pop_back();
+    for (PredicatePtr& child : node->children) {
+      pending.push_back(std::move(child));
+    }
+    node->children.clear();
+  }
+}
+
 PredicatePtr Predicate::Compare(ColumnRef c, CompareOp op, Literal l) {
   auto p = std::make_unique<Predicate>();
   p->kind = Kind::kCompare;

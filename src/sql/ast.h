@@ -101,6 +101,13 @@ struct Predicate {
   std::vector<Literal> in_list;  // kIn
   std::vector<PredicatePtr> children;  // kAnd/kOr (n-ary), kNot (unary)
 
+  Predicate() = default;
+  Predicate(Predicate&&) = default;
+  Predicate& operator=(Predicate&&) = default;
+  /// Tears the subtree down iteratively: a deep NOT/AND/OR chain must not
+  /// recurse once per level and overflow the stack.
+  ~Predicate();
+
   static PredicatePtr Compare(ColumnRef c, CompareOp op, Literal l);
   static PredicatePtr ColumnCompare(ColumnRef a, CompareOp op, ColumnRef b);
   static PredicatePtr Between(ColumnRef c, Literal lo, Literal hi);

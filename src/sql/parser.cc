@@ -271,16 +271,19 @@ class Parser {
   }
 
   Result<PredicatePtr> ParseUnary() {
-    if (cur_.MatchKeyword("NOT")) {
-      DPE_ASSIGN_OR_RETURN(PredicatePtr child, ParseUnary());
-      return Predicate::Not(std::move(child));
+    const bool is_not = cur_.MatchKeyword("NOT");
+    if (!is_not && !cur_.MatchPunct("(")) return ParseAtom();
+    if (depth_ == kMaxPredicateDepth) {
+      return Status::ParseError("predicate nesting deeper than " +
+                                std::to_string(kMaxPredicateDepth));
     }
-    if (cur_.MatchPunct("(")) {
-      DPE_ASSIGN_OR_RETURN(PredicatePtr inner, ParseOr());
-      DPE_RETURN_NOT_OK(cur_.ExpectPunct(")"));
-      return inner;
-    }
-    return ParseAtom();
+    ++depth_;
+    Result<PredicatePtr> inner = is_not ? ParseUnary() : ParseOr();
+    --depth_;
+    if (!inner.ok()) return inner.status();
+    if (is_not) return Predicate::Not(std::move(*inner));
+    DPE_RETURN_NOT_OK(cur_.ExpectPunct(")"));
+    return inner;
   }
 
   Result<PredicatePtr> ParseAtom() {
@@ -324,6 +327,7 @@ class Parser {
   }
 
   Cursor cur_;
+  size_t depth_ = 0;  ///< open '(' / NOT levels around the current parse
 };
 
 }  // namespace

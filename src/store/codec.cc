@@ -1,12 +1,15 @@
 #include "store/codec.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -67,19 +70,34 @@ Status SyncPath(const std::string& path) {
 
 namespace {
 
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// kCrcTables[0] is the classic bytewise table; kCrcTables[k][b] is the CRC
+/// of byte b followed by k zero bytes, which lets the slice-by-8 loop fold
+/// eight input bytes with eight independent lookups.
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
   for (uint32_t n = 0; n < 256; ++n) {
     uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (uint32_t n = 0; n < 256; ++n) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][n];
+      tables[k][n] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables =
+    MakeCrcTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 Status Corrupt(const std::string& what) {
   return Status::ParseError("store codec: " + what);
@@ -88,11 +106,48 @@ Status Corrupt(const std::string& what) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t len = data.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (char ch : data) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound("store codec: " + path + " does not exist");
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::Internal("store codec: cannot stat " + path);
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::Internal("store codec: read of " + path + " failed");
+    }
+    if (n == 0) break;  // shrank since the stat: keep what is there
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  data.resize(got);
+  return data;
 }
 
 // -- Writer ------------------------------------------------------------------
@@ -112,6 +167,15 @@ void Writer::PutU64(uint64_t v) {
 }
 
 void Writer::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
+
+void Writer::PutDoubles(std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    buffer_.append(reinterpret_cast<const char*>(values.data()),
+                   values.size_bytes());
+  } else {
+    for (double v : values) PutDouble(v);
+  }
+}
 
 void Writer::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
@@ -161,6 +225,23 @@ Result<double> Reader::ReadDouble() {
   return std::bit_cast<double>(bits);
 }
 
+Status Reader::ReadDoubles(std::span<double> out) {
+  if (out.size() > remaining() / 8) {
+    return Corrupt("truncated input reading " + std::to_string(out.size()) +
+                   " doubles (have " + std::to_string(remaining()) +
+                   " bytes)");
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
+    pos_ += out.size_bytes();
+  } else {
+    for (double& d : out) {
+      DPE_ASSIGN_OR_RETURN(d, ReadDouble());
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::string> Reader::ReadString() {
   DPE_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
   return ReadBytes(len);
@@ -171,6 +252,13 @@ Result<std::string> Reader::ReadBytes(size_t len) {
   std::string s(data_.substr(pos_, len));
   pos_ += len;
   return s;
+}
+
+Result<std::string_view> Reader::ReadView(size_t len) {
+  DPE_RETURN_NOT_OK(Need(len, "byte run"));
+  std::string_view view = data_.substr(pos_, len);
+  pos_ += len;
+  return view;
 }
 
 Status Reader::ExpectEnd() const {
@@ -201,75 +289,9 @@ Result<distance::DistanceMatrix> DecodeMatrix(Reader* r) {
         "store codec: matrix declares n = " + std::to_string(n) +
         " but only " + std::to_string(r->remaining()) + " bytes remain");
   }
-  std::vector<double> upper;
-  upper.reserve(n * (n - 1) / 2);
-  for (size_t k = 0; k < n * (n - 1) / 2; ++k) {
-    DPE_ASSIGN_OR_RETURN(double d, r->ReadDouble());
-    upper.push_back(d);
-  }
+  std::vector<double> upper(TriangleCells(n));
+  DPE_RETURN_NOT_OK(r->ReadDoubles(upper));
   return distance::DistanceMatrix::FromUpperTriangle(n, upper);
-}
-
-void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w) {
-  // Name table in first-appearance order; entries reference it by index, so
-  // repeated measure names cost 4 bytes instead of a full string each. The
-  // table is discovered while encoding the entry body, then written first.
-  std::vector<std::string> names;
-  auto index_of = [&names](const std::string& name) -> uint32_t {
-    for (uint32_t k = 0; k < names.size(); ++k) {
-      if (names[k] == name) return k;
-    }
-    names.push_back(name);
-    return static_cast<uint32_t>(names.size() - 1);
-  };
-  Writer body;
-  body.PutU64(entries.size());
-  for (const CacheEntry& e : entries) {
-    body.PutU32(index_of(e.measure));
-    body.PutU32(e.i);
-    body.PutU32(e.j);
-    body.PutDouble(e.d);
-  }
-  w->PutU32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) w->PutString(name);
-  w->PutRaw(body.buffer());
-}
-
-Result<std::vector<CacheEntry>> DecodeCacheEntries(Reader* r) {
-  DPE_ASSIGN_OR_RETURN(uint32_t name_count, r->ReadU32());
-  if (name_count > r->remaining() / 4) {  // >= 4 bytes per name
-    return Corrupt("measure name count " + std::to_string(name_count) +
-                   " exceeds remaining input");
-  }
-  std::vector<std::string> names;
-  names.reserve(name_count);
-  for (uint32_t k = 0; k < name_count; ++k) {
-    DPE_ASSIGN_OR_RETURN(std::string name, r->ReadString());
-    names.push_back(std::move(name));
-  }
-  DPE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
-  // Each entry is 20 bytes; reject counts the input cannot hold.
-  if (count > r->remaining() / 20) {
-    return Corrupt("cache entry count " + std::to_string(count) +
-                   " exceeds remaining input");
-  }
-  std::vector<CacheEntry> entries;
-  entries.reserve(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    CacheEntry e;
-    DPE_ASSIGN_OR_RETURN(uint32_t name_idx, r->ReadU32());
-    if (name_idx >= names.size()) {
-      return Corrupt("cache entry references measure #" +
-                     std::to_string(name_idx) + " of " +
-                     std::to_string(names.size()));
-    }
-    e.measure = names[name_idx];
-    DPE_ASSIGN_OR_RETURN(e.i, r->ReadU32());
-    DPE_ASSIGN_OR_RETURN(e.j, r->ReadU32());
-    DPE_ASSIGN_OR_RETURN(e.d, r->ReadDouble());
-    entries.push_back(std::move(e));
-  }
-  return entries;
 }
 
 void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w) {
@@ -415,14 +437,8 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 }
 
 Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
-                                            uint32_t magic,
-                                            uint32_t max_version) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("store codec: " + path + " does not exist");
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+                                            uint32_t magic, uint32_t version) {
+  DPE_ASSIGN_OR_RETURN(std::string data, ReadFileBytes(path));
   BytesReadCounter().Increment(data.size());
   if (data.empty()) {
     return Corrupt("zero-length frame file " + path +
@@ -433,11 +449,11 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
   if (got_magic != magic) {
     return Corrupt("bad magic in " + path);
   }
-  SalvagedFrame frame;
-  DPE_ASSIGN_OR_RETURN(frame.version, r.ReadU32());
-  if (frame.version == 0 || frame.version > max_version) {
+  DPE_ASSIGN_OR_RETURN(uint32_t got_version, r.ReadU32());
+  if (got_version != version) {
     return Corrupt("unsupported format version " +
-                   std::to_string(frame.version) + " in " + path);
+                   std::to_string(got_version) + " in " + path +
+                   " (expected " + std::to_string(version) + ")");
   }
   DPE_ASSIGN_OR_RETURN(uint64_t payload_len, r.ReadU64());
   DPE_ASSIGN_OR_RETURN(uint32_t crc, r.ReadU32());
@@ -446,32 +462,27 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
                    std::to_string(payload_len) + ", have " +
                    std::to_string(r.remaining()) + ")");
   }
-  frame.payload = data.substr(data.size() - payload_len);
+  SalvagedFrame frame;
+  data.erase(0, data.size() - payload_len);  // drop the header in place
+  frame.payload = std::move(data);
   CrcValidationCounter().Increment();
   frame.crc_ok = Crc32(frame.payload) == crc;
   return frame;
 }
 
-Result<FramedFile> ReadFramedFileVersions(const std::string& path,
-                                          uint32_t magic,
-                                          uint32_t max_version) {
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version) {
   // Exists-but-empty gets its own message inside the salvage read (still
   // ParseError, the typed corruption code): a zero-length file is a torn
   // export or a crashed writer, and the shard merge path turns exactly
   // this into a discard-and-recompute instead of confusing it with "not
   // yet written" (which is NotFound).
   DPE_ASSIGN_OR_RETURN(SalvagedFrame frame,
-                       ReadFramedFileSalvage(path, magic, max_version));
+                       ReadFramedFileSalvage(path, magic, version));
   if (!frame.crc_ok) {
     return Corrupt("checksum mismatch in " + path);
   }
-  return FramedFile{frame.version, std::move(frame.payload)};
-}
-
-Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic) {
-  DPE_ASSIGN_OR_RETURN(FramedFile file,
-                       ReadFramedFileVersions(path, magic, kFormatVersion));
-  return std::move(file.payload);
+  return std::move(frame.payload);
 }
 
 void AppendRecord(std::string_view payload, std::string* out) {

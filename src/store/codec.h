@@ -2,8 +2,9 @@
 //
 // Layout conventions: all integers are little-endian fixed-width; doubles
 // are the IEEE-754 bit pattern carried in a u64 (round-trips are therefore
-// bit-identical, including NaN payloads); strings are u32-length-prefixed
-// byte runs. A `Writer` appends values to a growable buffer; a `Reader`
+// bit-identical, including NaN payloads), and runs of doubles are copied in
+// bulk (PutDoubles / ReadDoubles); strings are u32-length-prefixed byte
+// runs. A `Writer` appends values to a growable buffer; a `Reader`
 // consumes a byte view and returns `common::Status` on any malformed input
 // — truncation, bad magic, checksum mismatch, out-of-range counts — never
 // undefined behaviour. Decoders validate declared element counts against
@@ -11,7 +12,7 @@
 // cannot trigger a multi-gigabyte allocation.
 //
 // On top of the primitives sit the value codecs for the store's core types
-// (DistanceMatrix, distance-cache entries, snapshot metadata) and two
+// (DistanceMatrix, snapshot metadata, shard/compaction manifests) and two
 // framing schemes:
 //
 //   whole-file:  [magic u32][version u32][payload_len u64][crc32 u32][payload]
@@ -19,14 +20,13 @@
 //
 // The whole-file frame is checksummed once over the payload and written
 // atomically (tmp + rename); the record frame is checksummed per record so
-// an append-only journal detects torn tails. The upper-triangle matrix
-// layout here is also the planned exchange format for the sharded
-// multi-host matrix builder (see ROADMAP).
+// an append-only journal detects torn tails.
 
 #ifndef DPE_STORE_CODEC_H_
 #define DPE_STORE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,19 +36,22 @@
 
 namespace dpe::store {
 
-/// Current on-disk format version (bumped on incompatible layout changes).
+/// On-disk format version of the files without a version of their own
+/// (standalone matrices, the compaction MANIFEST). Every reader requires
+/// the exact version it writes: no deployed data predates these formats,
+/// so there are no legacy readers.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// Shard files gained a sparse payload (manifest + only the owned cells) in
-/// version 2; version-1 dense shard frames remain readable. Non-shard files
-/// are still written (and required to be) kFormatVersion.
+/// Shard files: a manifest plus only the cells the shard's tile range owns.
 inline constexpr uint32_t kShardFormatVersion = 2;
 
-/// Snapshot frames gained a sectioned payload (CRC'd core + fixed-size
-/// CRC'd cache-entry chunks) in version 2, so a byte flip quarantines one
-/// chunk instead of condemning the whole file. Version-1 monolithic
-/// snapshots remain readable (at whole-file scrub granularity).
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Snapshots: a CRC'd core (meta + query log), then each measure's packed
+/// lower triangle as raw little-endian f64 in CRC'd chunks of
+/// kTriangleChunkCells cells (see store/matrix_store.h).
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
+
+/// Journals: a row record carries a triangle row's raw f64 bytes.
+inline constexpr uint32_t kJournalFormatVersion = 2;
 
 /// File magics ("DPES"/"DPEJ"/"DPEM"/"DPEH"/"DPEC" as little-endian u32).
 inline constexpr uint32_t kSnapshotMagic = 0x53455044;  // "DPES"
@@ -69,8 +72,37 @@ inline constexpr uint32_t kManifestMagic = 0x43455044;  // "DPEC" (Compaction)
 ///                   loss at the cost of an fsync per append.
 enum class FsyncPolicy : uint8_t { kNever = 0, kOnCheckpoint = 1, kAlways = 2 };
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `data`, computed
+/// slice-by-8 (eight table lookups per 8 input bytes).
 uint32_t Crc32(std::string_view data);
+
+/// The whole file at `path`, sized from its length and read in one pass.
+/// NotFound if it cannot be opened; Internal on a read error.
+Result<std::string> ReadFileBytes(const std::string& path);
+
+// -- Triangles ---------------------------------------------------------------
+
+/// Cells in the first `rows` rows of a packed lower triangle: row r holds r
+/// cells, so rows(rows - 1) / 2.
+constexpr uint64_t TriangleCells(uint64_t rows) {
+  return rows < 2 ? 0 : rows * (rows - 1) / 2;
+}
+
+/// One measure's distances as a packed lower triangle by rows: row r holds
+/// d(0..r-1, r) starting at offset TriangleCells(r), so a new query's row
+/// is one contiguous append and `rows` is the completeness watermark. The
+/// engine's memo, the snapshot body and the journal's row record all carry
+/// this shape.
+struct Triangle {
+  uint64_t rows = 0;
+  std::vector<double> cells;  ///< TriangleCells(rows) values
+
+  bool operator==(const Triangle&) const = default;
+};
+
+/// Cells per CRC'd snapshot chunk: a damaged chunk costs at most this many
+/// cells (plus the rows after it in the same triangle).
+inline constexpr uint64_t kTriangleChunkCells = 4096;
 
 // -- Primitives --------------------------------------------------------------
 
@@ -82,6 +114,8 @@ class Writer {
   void PutU64(uint64_t v);
   /// IEEE-754 bit pattern in a u64: decoding returns the exact same double.
   void PutDouble(double v);
+  /// `values` as consecutive PutDouble encodings, copied in bulk.
+  void PutDoubles(std::span<const double> values);
   /// u32 length prefix + raw bytes (embedded NULs are preserved).
   void PutString(std::string_view s);
   /// Raw bytes with no prefix — for splicing pre-encoded sections.
@@ -104,10 +138,15 @@ class Reader {
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<double> ReadDouble();
+  /// Fills `out` from out.size() consecutive doubles (Writer::PutDoubles),
+  /// copied in bulk; ParseError if fewer bytes remain.
+  Status ReadDoubles(std::span<double> out);
   Result<std::string> ReadString();
   /// `len` raw bytes (no length prefix) — the block-copy counterpart of
   /// Writer::PutRaw.
   Result<std::string> ReadBytes(size_t len);
+  /// Like ReadBytes, but a view into the input instead of a copy.
+  Result<std::string_view> ReadView(size_t len);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -123,17 +162,6 @@ class Reader {
 
 // -- Value codecs ------------------------------------------------------------
 
-/// One memoized pairwise distance: d(i, j) under `measure`. The exchange
-/// type between the engine's DistanceCache and the persistent store.
-struct CacheEntry {
-  std::string measure;
-  uint32_t i = 0;
-  uint32_t j = 0;
-  double d = 0.0;
-
-  bool operator==(const CacheEntry&) const = default;
-};
-
 /// Measure/config metadata stored alongside a snapshot.
 struct SnapshotMeta {
   uint64_t query_count = 0;
@@ -146,10 +174,6 @@ struct SnapshotMeta {
 /// zero diagonal are restored on decode.
 void EncodeMatrix(const distance::DistanceMatrix& m, Writer* w);
 Result<distance::DistanceMatrix> DecodeMatrix(Reader* r);
-
-/// Entries with a measure-name table so repeated names cost 4 bytes each.
-void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w);
-Result<std::vector<CacheEntry>> DecodeCacheEntries(Reader* r);
 
 void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w);
 Result<SnapshotMeta> DecodeSnapshotMeta(Reader* r);
@@ -211,41 +235,27 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 /// FsyncPolicy::kAlways path.
 Status SyncPath(const std::string& path);
 
-/// Reads a framed file back, validating magic, version (== kFormatVersion),
-/// length and checksum. NotFound if the file does not exist; ParseError on
-/// any corruption.
-Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic);
-
-/// A framed payload plus the format version its frame declared.
-struct FramedFile {
-  uint32_t version = kFormatVersion;
-  std::string payload;
-};
-
-/// Like ReadFramedFile but accepts any version in [1, max_version] — the
-/// multi-version read path for formats with compatible older layouts
-/// (dense v1 shard frames under kShardFormatVersion = 2).
-Result<FramedFile> ReadFramedFileVersions(const std::string& path,
-                                          uint32_t magic,
-                                          uint32_t max_version);
+/// Reads a framed file back, validating magic, version (== `version`),
+/// length and checksum, and returns its payload. NotFound if the file does
+/// not exist; ParseError on any corruption.
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version = kFormatVersion);
 
 /// A framed payload read without the whole-payload CRC gate: `crc_ok`
 /// reports whether it passed. The scrubber's entry point — formats with
-/// per-section CRCs (snapshot v2) localize the damage themselves.
+/// per-section CRCs (the snapshot) localize the damage themselves.
 struct SalvagedFrame {
-  uint32_t version = kFormatVersion;
   std::string payload;
   bool crc_ok = true;
 };
 
-/// Like ReadFramedFileVersions, but a payload-checksum mismatch is reported
-/// in `crc_ok` instead of failing the read. Structural damage — missing
-/// file, bad magic, unsupported version, payload-length mismatch — still
-/// fails: a frame whose geometry is destroyed cannot be salvaged, only
-/// rejected (typed, never a wrong payload).
+/// Like ReadFramedFile, but a payload-checksum mismatch is reported in
+/// `crc_ok` instead of failing the read. Structural damage — missing file,
+/// bad magic, wrong version, payload-length mismatch — still fails: a frame
+/// whose geometry is destroyed cannot be salvaged, only rejected (typed,
+/// never a wrong payload).
 Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
-                                            uint32_t magic,
-                                            uint32_t max_version);
+                                            uint32_t magic, uint32_t version);
 
 /// Appends one [payload_len][crc32][payload] record to `out`.
 void AppendRecord(std::string_view payload, std::string* out);

@@ -1,12 +1,12 @@
 #include "store/matrix_store.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
-#include <tuple>
-#include <unistd.h>
+#include <optional>
 
 #include "common/fault.h"
 #include "common/tiles.h"
@@ -78,6 +78,11 @@ obs::Counter& ScrubRewrites() {
       obs::MetricsRegistry::Default().counter("store.scrub.rewrites");
   return c;
 }
+obs::Counter& CrcValidations() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Default().counter("store.crc_validations");
+  return c;
+}
 obs::Counter& CompactionPublishes() {
   static obs::Counter& c =
       obs::MetricsRegistry::Default().counter("store.compaction.publishes");
@@ -94,11 +99,7 @@ void EncodeJournalRecord(const JournalRecord& record, Writer* w) {
     case JournalRecord::Kind::kRowComputed:
       w->PutString(record.measure);
       w->PutU32(record.row);
-      w->PutU32(static_cast<uint32_t>(record.cols.size()));
-      for (const auto& [col, d] : record.cols) {
-        w->PutU32(col);
-        w->PutDouble(d);
-      }
+      w->PutDoubles(record.distances);
       break;
   }
 }
@@ -118,17 +119,16 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
       record.kind = JournalRecord::Kind::kRowComputed;
       DPE_ASSIGN_OR_RETURN(record.measure, r.ReadString());
       DPE_ASSIGN_OR_RETURN(record.row, r.ReadU32());
-      DPE_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-      if (count > r.remaining() / 12) {  // 12 bytes per (col, distance)
-        return Corrupt("row record column count " + std::to_string(count) +
-                       " exceeds record size");
+      // Row r holds exactly r distances; the record's length must agree
+      // before anything is allocated.
+      if (r.remaining() % 8 != 0 || r.remaining() / 8 != record.row) {
+        return Corrupt("row record for row " + std::to_string(record.row) +
+                       " carries " + std::to_string(r.remaining()) +
+                       " distance bytes (expected " +
+                       std::to_string(uint64_t{record.row} * 8) + ")");
       }
-      record.cols.reserve(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        DPE_ASSIGN_OR_RETURN(uint32_t col, r.ReadU32());
-        DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-        record.cols.emplace_back(col, d);
-      }
+      record.distances.resize(record.row);
+      DPE_RETURN_NOT_OK(r.ReadDoubles(record.distances));
       break;
     }
     default:
@@ -138,23 +138,37 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
   return record;
 }
 
-// -- Snapshot payload codec (v1 monolithic, v2 sectioned) ---------------------
+/// Validates a journal file's 8-byte prologue and scans its records.
+Result<RecordScan> ScanJournalBytes(std::string_view data,
+                                    const std::string& path) {
+  Reader header(data);
+  DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
+  if (magic != kJournalMagic) {
+    return Corrupt("bad journal magic in " + path);
+  }
+  DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
+  if (version != kJournalFormatVersion) {
+    return Corrupt("unsupported journal version " + std::to_string(version) +
+                   " in " + path);
+  }
+  return ScanRecords(data.substr(8));
+}
 
-/// Entries per v2 snapshot chunk. Each chunk is a self-contained
-/// EncodeCacheEntries block with its own CRC, so a byte flip quarantines
-/// ~4096 cells instead of the whole checkpoint.
-constexpr size_t kSnapshotChunkEntries = 4096;
+std::string JournalPrologue() {
+  Writer header;
+  header.PutU32(kJournalMagic);
+  header.PutU32(kJournalFormatVersion);
+  return header.TakeBuffer();
+}
+
+// -- Snapshot payload codec (v3) ----------------------------------------------
 
 SnapshotMeta MetaFor(const Snapshot& snapshot) {
   SnapshotMeta meta;
   meta.query_count = snapshot.queries.size();
-  // Union of the entries present and the names the snapshot already carried
-  // (a scrub rewrite may have quarantined every entry of a measure — its
-  // name must survive so the engine knows what to recompute).
-  std::set<std::string> measures(snapshot.measures.begin(),
-                                 snapshot.measures.end());
-  for (const CacheEntry& e : snapshot.entries) measures.insert(e.measure);
-  meta.measures.assign(measures.begin(), measures.end());
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    meta.measures.push_back(name);
+  }
   return meta;
 }
 
@@ -164,7 +178,8 @@ void EncodeSnapshotCore(const Snapshot& snapshot, Writer* w) {
   for (const std::string& sql : snapshot.queries) w->PutString(sql);
 }
 
-/// Core = meta + query log; entries are decoded separately (per layout).
+/// Core = meta + query log. Every measure the meta names starts out with an
+/// empty triangle; the triangle section fills them in.
 Result<Snapshot> DecodeSnapshotCore(Reader* r) {
   DPE_ASSIGN_OR_RETURN(SnapshotMeta meta, DecodeSnapshotMeta(r));
   DPE_ASSIGN_OR_RETURN(uint64_t query_count, r->ReadU64());
@@ -178,7 +193,9 @@ Result<Snapshot> DecodeSnapshotCore(Reader* r) {
                    " exceeds remaining input");
   }
   Snapshot snapshot;
-  snapshot.measures = std::move(meta.measures);
+  for (std::string& name : meta.measures) {
+    snapshot.triangles.emplace(std::move(name), Triangle{});
+  }
   snapshot.queries.reserve(query_count);
   for (uint64_t k = 0; k < query_count; ++k) {
     DPE_ASSIGN_OR_RETURN(std::string sql, r->ReadString());
@@ -187,92 +204,136 @@ Result<Snapshot> DecodeSnapshotCore(Reader* r) {
   return snapshot;
 }
 
-/// v2 layout:
-///   [core_len u64][core_crc u32][core]
-///   [entries_total u64][chunk_count u32]
-///   chunk*: [chunk_len u64][chunk_crc u32][chunk]
-/// where core = EncodeSnapshotCore and chunk = EncodeCacheEntries over at
-/// most kSnapshotChunkEntries entries.
-std::string EncodeSnapshotPayloadV2(const Snapshot& snapshot) {
+/// CRC of a measure header: its name bytes followed by its rows (u64 LE).
+uint32_t TriangleHeaderCrc(const std::string& name, uint64_t rows) {
+  Writer w;
+  w.PutString(name);
+  w.PutU64(rows);
+  return Crc32(w.buffer());
+}
+
+std::string EncodeSnapshotPayload(const Snapshot& snapshot) {
   Writer core;
   EncodeSnapshotCore(snapshot, &core);
   Writer w;
   w.PutU64(core.buffer().size());
   w.PutU32(Crc32(core.buffer()));
   w.PutRaw(core.buffer());
-  w.PutU64(snapshot.entries.size());
-  const size_t chunk_count =
-      (snapshot.entries.size() + kSnapshotChunkEntries - 1) /
-      kSnapshotChunkEntries;
-  w.PutU32(static_cast<uint32_t>(chunk_count));
-  for (size_t c = 0; c < chunk_count; ++c) {
-    const size_t begin = c * kSnapshotChunkEntries;
-    const size_t end =
-        std::min(begin + kSnapshotChunkEntries, snapshot.entries.size());
-    std::vector<CacheEntry> slice(snapshot.entries.begin() + begin,
-                                  snapshot.entries.begin() + end);
-    Writer cw;
-    EncodeCacheEntries(slice, &cw);
-    w.PutU64(cw.buffer().size());
-    w.PutU32(Crc32(cw.buffer()));
-    w.PutRaw(cw.buffer());
+  w.PutU32(static_cast<uint32_t>(snapshot.triangles.size()));
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    w.PutString(name);
+    w.PutU64(triangle.rows);
+    w.PutU32(TriangleHeaderCrc(name, triangle.rows));
+    const std::span<const double> cells(triangle.cells);
+    for (uint64_t begin = 0; begin < cells.size();
+         begin += kTriangleChunkCells) {
+      const std::span<const double> chunk =
+          cells.subspan(begin, std::min<uint64_t>(kTriangleChunkCells,
+                                                  cells.size() - begin));
+      w.PutU32(Crc32({reinterpret_cast<const char*>(chunk.data()),
+                      chunk.size_bytes()}));
+      w.PutDoubles(chunk);
+    }
   }
   return w.TakeBuffer();
 }
 
-Result<Snapshot> DecodeSnapshotPayloadV1(std::string_view payload) {
-  Reader r(payload);
-  DPE_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshotCore(&r));
-  DPE_ASSIGN_OR_RETURN(snapshot.entries, DecodeCacheEntries(&r));
-  DPE_RETURN_NOT_OK(r.ExpectEnd());
-  return snapshot;
+/// Bytes a triangle of `cells` cells occupies after its header: the cells
+/// plus one CRC per chunk.
+uint64_t TriangleBodyBytes(uint64_t cells) {
+  return cells * 8 +
+         (cells + kTriangleChunkCells - 1) / kTriangleChunkCells * 4;
 }
 
-Result<Snapshot> DecodeSnapshotPayloadV2(std::string_view payload) {
+/// One measure's header: name, rows, and a header CRC that must match.
+/// `rows` is checked against the bytes left in `r` (with no overflow) so a
+/// forged row count fails here, before anything is allocated.
+Status ReadTriangleHeader(Reader* r, std::string* name, uint64_t* rows) {
+  DPE_ASSIGN_OR_RETURN(*name, r->ReadString());
+  DPE_ASSIGN_OR_RETURN(*rows, r->ReadU64());
+  DPE_ASSIGN_OR_RETURN(uint32_t crc, r->ReadU32());
+  if (crc != TriangleHeaderCrc(*name, *rows)) {
+    return Corrupt("snapshot triangle header checksum mismatch");
+  }
+  // 2^32 rows would already be 2^63 cells; below it the byte count of the
+  // body cannot overflow.
+  if (*rows > (uint64_t{1} << 32) ||
+      TriangleCells(*rows) > r->remaining() / 8 ||
+      TriangleBodyBytes(TriangleCells(*rows)) > r->remaining()) {
+    return Corrupt("snapshot triangle '" + *name + "' declares " +
+                   std::to_string(*rows) + " rows but only " +
+                   std::to_string(r->remaining()) + " bytes remain");
+  }
+  return Status::OK();
+}
+
+/// Reads the next chunk of `chunk.size()` cells; false on a CRC mismatch.
+Result<bool> ReadTriangleChunk(Reader* r, std::span<double> chunk) {
+  DPE_ASSIGN_OR_RETURN(uint32_t crc, r->ReadU32());
+  DPE_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadView(chunk.size_bytes()));
+  CrcValidations().Increment();
+  if (Crc32(bytes) != crc) return false;
+  Reader chunk_reader(bytes);
+  DPE_RETURN_NOT_OK(chunk_reader.ReadDoubles(chunk));
+  return true;
+}
+
+/// Strict decode of a payload whose frame CRC the caller has verified.
+Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
   Reader r(payload);
   DPE_ASSIGN_OR_RETURN(uint64_t core_len, r.ReadU64());
   DPE_ASSIGN_OR_RETURN(uint32_t core_crc, r.ReadU32());
-  DPE_ASSIGN_OR_RETURN(std::string core, r.ReadBytes(core_len));
+  DPE_ASSIGN_OR_RETURN(std::string_view core, r.ReadView(core_len));
   if (Crc32(core) != core_crc) {
     return Corrupt("snapshot core checksum mismatch");
   }
   Reader core_r(core);
   DPE_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshotCore(&core_r));
   DPE_RETURN_NOT_OK(core_r.ExpectEnd());
-  DPE_ASSIGN_OR_RETURN(uint64_t entries_total, r.ReadU64());
-  DPE_ASSIGN_OR_RETURN(uint32_t chunk_count, r.ReadU32());
-  if (chunk_count > r.remaining() / 12) {  // >= 12 header bytes per chunk
-    return Corrupt("snapshot chunk count " + std::to_string(chunk_count) +
-                   " exceeds remaining input");
+  DPE_ASSIGN_OR_RETURN(uint32_t measure_count, r.ReadU32());
+  if (measure_count != snapshot.triangles.size()) {
+    return Corrupt("snapshot carries " + std::to_string(measure_count) +
+                   " triangles but its metadata names " +
+                   std::to_string(snapshot.triangles.size()));
   }
-  for (uint32_t c = 0; c < chunk_count; ++c) {
-    DPE_ASSIGN_OR_RETURN(uint64_t chunk_len, r.ReadU64());
-    DPE_ASSIGN_OR_RETURN(uint32_t chunk_crc, r.ReadU32());
-    DPE_ASSIGN_OR_RETURN(std::string chunk, r.ReadBytes(chunk_len));
-    if (Crc32(chunk) != chunk_crc) {
-      return Corrupt("snapshot chunk " + std::to_string(c) +
-                     " checksum mismatch");
+  for (uint32_t m = 0; m < measure_count; ++m) {
+    std::string name;
+    uint64_t rows = 0;
+    DPE_RETURN_NOT_OK(ReadTriangleHeader(&r, &name, &rows));
+    auto it = snapshot.triangles.find(name);
+    if (it == snapshot.triangles.end() || it->second.rows != 0) {
+      return Corrupt("snapshot triangle '" + name +
+                     "' is not named once by the metadata");
     }
-    Reader cr(chunk);
-    DPE_ASSIGN_OR_RETURN(std::vector<CacheEntry> entries,
-                         DecodeCacheEntries(&cr));
-    DPE_RETURN_NOT_OK(cr.ExpectEnd());
-    snapshot.entries.insert(snapshot.entries.end(),
-                            std::make_move_iterator(entries.begin()),
-                            std::make_move_iterator(entries.end()));
+    Triangle& triangle = it->second;
+    triangle.rows = rows;
+    triangle.cells.resize(TriangleCells(rows));
+    // The frame CRC the caller verified already covers every chunk, so
+    // this path only bulk-copies; the chunk CRCs let the scrubber
+    // (SalvageSnapshotPayload) localize damage.
+    const std::span<double> cells(triangle.cells);
+    for (uint64_t begin = 0; begin < cells.size();
+         begin += kTriangleChunkCells) {
+      DPE_RETURN_NOT_OK(r.ReadU32().status());
+      DPE_RETURN_NOT_OK(r.ReadDoubles(cells.subspan(
+          begin, std::min(kTriangleChunkCells, cells.size() - begin))));
+    }
   }
   DPE_RETURN_NOT_OK(r.ExpectEnd());
-  if (snapshot.entries.size() != entries_total) {
-    return Corrupt("snapshot declares " + std::to_string(entries_total) +
-                   " cache entries but chunks carry " +
-                   std::to_string(snapshot.entries.size()));
-  }
   return snapshot;
 }
 
-/// Tolerant v2 parse for the scrubber: the core must decode (queries are
-/// source data and cannot be recomputed), but a damaged chunk is skipped
-/// and counted instead of failing the parse.
+/// Rows of a triangle whose cells [0, cells) are intact: the last row that
+/// lies wholly before the first damaged cell.
+uint64_t RowsWithin(uint64_t cells) {
+  uint64_t rows = 0;
+  while (TriangleCells(rows + 1) <= cells) ++rows;
+  return rows;
+}
+
+/// Tolerant parse for the scrubber: the core must decode (queries are
+/// source data and cannot be recomputed), but a damaged chunk truncates
+/// its triangle instead of failing the parse.
 struct SnapshotSalvageResult {
   Snapshot snapshot;
   bool core_ok = false;
@@ -281,52 +342,59 @@ struct SnapshotSalvageResult {
   uint64_t cells_quarantined = 0;
 };
 
-SnapshotSalvageResult SalvageSnapshotPayloadV2(std::string_view payload) {
+SnapshotSalvageResult SalvageSnapshotPayload(std::string_view payload) {
   SnapshotSalvageResult out;
   Reader r(payload);
   Result<uint64_t> core_len = r.ReadU64();
   Result<uint32_t> core_crc = r.ReadU32();
   if (!core_len.ok() || !core_crc.ok()) return out;
-  Result<std::string> core = r.ReadBytes(*core_len);
+  Result<std::string_view> core = r.ReadView(*core_len);
   if (!core.ok() || Crc32(*core) != *core_crc) return out;
   Reader core_r(*core);
   Result<Snapshot> decoded = DecodeSnapshotCore(&core_r);
   if (!decoded.ok() || !core_r.AtEnd()) return out;
   out.snapshot = std::move(*decoded);
   out.core_ok = true;
-  Result<uint64_t> entries_total = r.ReadU64();
-  Result<uint32_t> chunk_count = r.ReadU32();
-  if (!entries_total.ok() || !chunk_count.ok()) return out;
-  out.chunks_checked = *chunk_count;
-  for (uint32_t c = 0; c < *chunk_count; ++c) {
-    Result<uint64_t> chunk_len = r.ReadU64();
-    Result<uint32_t> chunk_crc = r.ReadU32();
-    if (!chunk_len.ok() || !chunk_crc.ok() || *chunk_len > r.remaining()) {
-      // Structural damage: nothing past this point can be framed, so the
-      // rest of the chunk stream is quarantined wholesale.
-      out.chunks_quarantined += *chunk_count - c;
-      break;
+  Result<uint32_t> measure_count = r.ReadU32();
+  if (!measure_count.ok()) return out;
+  for (uint32_t m = 0; m < *measure_count; ++m) {
+    std::string name;
+    uint64_t rows = 0;
+    const size_t unframed = r.remaining();
+    auto it = out.snapshot.triangles.end();
+    if (ReadTriangleHeader(&r, &name, &rows).ok()) {
+      it = out.snapshot.triangles.find(name);
     }
-    Result<std::string> chunk = r.ReadBytes(*chunk_len);
-    if (!chunk.ok() || Crc32(*chunk) != *chunk_crc) {
+    if (it == out.snapshot.triangles.end() || it->second.rows != 0) {
+      // A destroyed header takes the framing of everything after it: the
+      // remaining triangles are dropped (their measures keep empty
+      // entries from the meta), and their bytes are counted as cells.
       out.chunks_quarantined += 1;
-      continue;
+      out.cells_quarantined += unframed / 8;
+      return out;
     }
-    Reader cr(*chunk);
-    Result<std::vector<CacheEntry>> entries = DecodeCacheEntries(&cr);
-    if (!entries.ok() || !cr.AtEnd()) {  // CRC passed but content malformed
-      out.chunks_quarantined += 1;
-      continue;
+    Triangle& triangle = it->second;
+    const uint64_t cells = TriangleCells(rows);
+    triangle.cells.resize(cells);
+    uint64_t intact = cells;
+    for (uint64_t begin = 0; begin < cells; begin += kTriangleChunkCells) {
+      const uint64_t len = std::min(kTriangleChunkCells, cells - begin);
+      out.chunks_checked += 1;
+      Result<bool> chunk_ok = ReadTriangleChunk(
+          &r, std::span<double>(triangle.cells).subspan(begin, len));
+      if (intact == cells && (!chunk_ok.ok() || !*chunk_ok)) {
+        out.chunks_quarantined += 1;
+        intact = begin;
+      }
     }
-    out.snapshot.entries.insert(out.snapshot.entries.end(),
-                                std::make_move_iterator(entries->begin()),
-                                std::make_move_iterator(entries->end()));
+    triangle.rows = RowsWithin(intact);
+    triangle.cells.resize(TriangleCells(triangle.rows));
+    out.cells_quarantined += cells - triangle.cells.size();
   }
-  const uint64_t recovered = out.snapshot.entries.size();
-  out.cells_quarantined =
-      (entries_total.ok() && *entries_total > recovered)
-          ? *entries_total - recovered
-          : 0;
+  if (!r.AtEnd()) {  // a damaged count hid triangles: they are dropped too
+    out.chunks_quarantined += 1;
+    out.cells_quarantined += r.remaining() / 8;
+  }
   return out;
 }
 
@@ -446,10 +514,9 @@ std::string MatrixStore::ManifestPath() const {
 void MatrixStore::ResolveGenerations() {
   gen_ = 0;
   manifest_ok_ = true;
-  Result<FramedFile> file =
-      ReadFramedFileVersions(ManifestPath(), kManifestMagic, kFormatVersion);
+  Result<std::string> file = ReadFramedFile(ManifestPath(), kManifestMagic);
   if (file.ok()) {
-    Reader r(file->payload);
+    Reader r(*file);
     Result<CompactionManifest> manifest = DecodeCompactionManifest(&r);
     if (manifest.ok() && r.AtEnd()) {
       gen_ = manifest->generation;
@@ -472,8 +539,8 @@ void MatrixStore::ResolveGenerations() {
         continue;
       }
       if (g > best &&
-          ReadFramedFileVersions(SnapshotPathForGen(g), kSnapshotMagic,
-                                 kSnapshotFormatVersion)
+          ReadFramedFile(SnapshotPathForGen(g), kSnapshotMagic,
+                         kSnapshotFormatVersion)
               .ok()) {
         best = g;
       }
@@ -507,7 +574,7 @@ bool MatrixStore::HasSnapshot() const {
 
 Status MatrixStore::WriteSnapshotToPath(const std::string& path,
                                         const Snapshot& snapshot) const {
-  return WriteFramedFile(path, kSnapshotMagic, EncodeSnapshotPayloadV2(snapshot),
+  return WriteFramedFile(path, kSnapshotMagic, EncodeSnapshotPayload(snapshot),
                          kSnapshotFormatVersion,
                          fsync_policy_ != FsyncPolicy::kNever);
 }
@@ -554,13 +621,25 @@ Status MatrixStore::WriteSnapshot(const Snapshot& snapshot) {
 }
 
 Result<Snapshot> MatrixStore::ReadSnapshot() const {
-  DPE_ASSIGN_OR_RETURN(FramedFile file,
-                       ReadFramedFileVersions(SnapshotPath(), kSnapshotMagic,
-                                              kSnapshotFormatVersion));
-  if (file.version >= kSnapshotFormatVersion) {
-    return DecodeSnapshotPayloadV2(file.payload);
+  DPE_ASSIGN_OR_RETURN(
+      std::string payload,
+      ReadFramedFile(SnapshotPath(), kSnapshotMagic, kSnapshotFormatVersion));
+  return DecodeSnapshotPayload(payload);
+}
+
+Status ApplyRowRecord(const JournalRecord& record,
+                      std::map<std::string, Triangle>* triangles) {
+  Triangle& triangle = (*triangles)[record.measure];
+  if (record.row < triangle.rows) return Status::OK();  // already held
+  if (record.row > triangle.rows) {
+    return Corrupt("journal row " + std::to_string(record.row) + " of '" +
+                   record.measure + "' leaves a gap after " +
+                   std::to_string(triangle.rows) + " rows");
   }
-  return DecodeSnapshotPayloadV1(file.payload);
+  triangle.cells.insert(triangle.cells.end(), record.distances.begin(),
+                        record.distances.end());
+  triangle.rows += 1;
+  return Status::OK();
 }
 
 // -- Journal -----------------------------------------------------------------
@@ -578,12 +657,7 @@ Status MatrixStore::AppendRecords(const std::vector<JournalRecord>& records) {
     old_size = fs::file_size(JournalPath(), ec);
     if (ec) old_size = kUnknownSize;  // unknown: rollback must not "grow"
   }
-  if (!existed) {
-    Writer header;
-    header.PutU32(kJournalMagic);
-    header.PutU32(kFormatVersion);
-    frame = header.TakeBuffer();
-  }
+  if (!existed) frame = JournalPrologue();
   for (const JournalRecord& record : records) {
     Writer payload;
     EncodeJournalRecord(record, &payload);
@@ -635,25 +709,44 @@ Status MatrixStore::AppendQuery(uint32_t index, const std::string& sql) {
   return AppendRecords({std::move(record)});
 }
 
-Status MatrixStore::AppendRow(
-    const std::string& measure, uint32_t row,
-    const std::vector<std::pair<uint32_t, double>>& cols) {
-  JournalRecord record;
-  record.kind = JournalRecord::Kind::kRowComputed;
-  record.measure = measure;
-  record.row = row;
-  record.cols = cols;
-  return AppendRecords({std::move(record)});
+Status MatrixStore::AppendRow(const std::string& measure, uint32_t row,
+                              std::span<const double> distances) {
+  return AppendRows(measure, row, row + 1, distances);
+}
+
+Status MatrixStore::AppendRows(const std::string& measure, uint32_t row_begin,
+                               uint32_t row_end,
+                               std::span<const double> packed) {
+  if (row_begin > row_end ||
+      packed.size() != TriangleCells(row_end) - TriangleCells(row_begin)) {
+    return Status::InvalidArgument(
+        "matrix store: rows [" + std::to_string(row_begin) + ", " +
+        std::to_string(row_end) + ") do not hold " +
+        std::to_string(packed.size()) + " cells");
+  }
+  std::vector<JournalRecord> records(row_end - row_begin);
+  size_t offset = 0;
+  for (uint32_t row = row_begin; row < row_end; ++row) {
+    JournalRecord& record = records[row - row_begin];
+    record.kind = JournalRecord::Kind::kRowComputed;
+    record.measure = measure;
+    record.row = row;
+    record.distances.assign(packed.begin() + offset,
+                            packed.begin() + offset + row);
+    offset += row;
+  }
+  return AppendRecords(records);
 }
 
 Status MatrixStore::ReadJournalFile(const std::string& path,
                                     bool recover_torn_tail,
                                     JournalRecovery* recovery) const {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();  // no journal = no records
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  Result<std::string> read = ReadFileBytes(path);
+  if (read.status().code() == StatusCode::kNotFound) {
+    return Status::OK();  // no journal = no records
+  }
+  DPE_RETURN_NOT_OK(read.status());
+  const std::string& data = *read;
   JournalBytesRead().Increment(data.size());
   if (data.size() < 8 && recover_torn_tail) {
     // A crash can die inside the very first buffered write, before even the
@@ -671,17 +764,7 @@ Status MatrixStore::ReadJournalFile(const std::string& path,
     JournalDroppedBytes().Increment(data.size());
     return Status::OK();
   }
-  Reader header(data);
-  DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-  if (magic != kJournalMagic) {
-    return Corrupt("bad journal magic in " + path);
-  }
-  DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-  if (version != kFormatVersion) {
-    return Corrupt("unsupported journal version " + std::to_string(version));
-  }
-  DPE_ASSIGN_OR_RETURN(RecordScan scan,
-                       ScanRecords(std::string_view(data).substr(8)));
+  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournalBytes(data, path));
   if (scan.torn_tail) {
     if (!recover_torn_tail) {
       return Corrupt("torn journal tail in " + path + " (crash mid-append?)");
@@ -783,56 +866,32 @@ Result<CompactionPlan> MatrixStore::BeginCompaction() {
 
 Result<Snapshot> MatrixStore::FoldFrozen(const CompactionPlan& plan) const {
   Snapshot folded;
-  Result<FramedFile> file =
-      ReadFramedFileVersions(SnapshotPathForGen(plan.from_gen), kSnapshotMagic,
-                             kSnapshotFormatVersion);
-  if (file.ok()) {
-    if (file->version >= kSnapshotFormatVersion) {
-      DPE_ASSIGN_OR_RETURN(folded, DecodeSnapshotPayloadV2(file->payload));
-    } else {
-      DPE_ASSIGN_OR_RETURN(folded, DecodeSnapshotPayloadV1(file->payload));
-    }
-  } else if (file.status().code() != StatusCode::kNotFound) {
-    return file.status();
+  Result<std::string> payload =
+      ReadFramedFile(SnapshotPathForGen(plan.from_gen), kSnapshotMagic,
+                     kSnapshotFormatVersion);
+  if (payload.ok()) {
+    DPE_ASSIGN_OR_RETURN(folded, DecodeSnapshotPayload(*payload));
+  } else if (payload.status().code() != StatusCode::kNotFound) {
+    return payload.status();
   }
 
   // The frozen journal is read tolerantly and WITHOUT mutating the file —
   // this runs off-lock while appends continue elsewhere. A torn tail is
   // dropped silently: those bytes belong to an append that never
   // acknowledged, and the fold's output supersedes the frozen file anyway.
-  std::vector<JournalRecord> records;
-  {
-    std::ifstream in(JournalPathForGen(plan.from_gen), std::ios::binary);
-    if (in) {
-      std::string data((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      in.close();
-      JournalBytesRead().Increment(data.size());
-      if (data.size() >= 8) {
-        Reader header(data);
-        DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-        if (magic != kJournalMagic) {
-          return Corrupt("bad journal magic in " +
-                         JournalPathForGen(plan.from_gen));
-        }
-        DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-        if (version != kFormatVersion) {
-          return Corrupt("unsupported journal version " +
-                         std::to_string(version));
-        }
-        DPE_ASSIGN_OR_RETURN(RecordScan scan,
-                             ScanRecords(std::string_view(data).substr(8)));
-        records.reserve(scan.records.size());
-        for (const std::string& payload : scan.records) {
-          DPE_ASSIGN_OR_RETURN(JournalRecord record,
-                               DecodeJournalRecord(payload));
-          records.push_back(std::move(record));
-        }
-      }
+  const std::string path = JournalPathForGen(plan.from_gen);
+  Result<std::string> data = ReadFileBytes(path);
+  if (!data.ok() || data->size() < 8) {
+    if (data.ok() || data.status().code() == StatusCode::kNotFound) {
+      return folded;
     }
+    return data.status();
   }
-
-  for (const JournalRecord& record : records) {
+  JournalBytesRead().Increment(data->size());
+  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournalBytes(*data, path));
+  for (const std::string& payload_bytes : scan.records) {
+    DPE_ASSIGN_OR_RETURN(JournalRecord record,
+                         DecodeJournalRecord(payload_bytes));
     switch (record.kind) {
       case JournalRecord::Kind::kQueryAppended:
         if (record.index < folded.queries.size()) break;  // replayed duplicate
@@ -842,31 +901,13 @@ Result<Snapshot> MatrixStore::FoldFrozen(const CompactionPlan& plan) const {
                          std::to_string(folded.queries.size()) +
                          " snapshot queries");
         }
-        folded.queries.push_back(record.sql);
+        folded.queries.push_back(std::move(record.sql));
         break;
       case JournalRecord::Kind::kRowComputed:
-        for (const auto& [col, d] : record.cols) {
-          folded.entries.push_back(CacheEntry{record.measure, col, record.row,
-                                              d});
-        }
+        DPE_RETURN_NOT_OK(ApplyRowRecord(record, &folded.triangles));
         break;
     }
   }
-
-  // Deduplicate cells keeping the LAST occurrence: journal rows are warmer
-  // than snapshot entries, and restoring the deduped list in order
-  // reproduces the cache's LRU recency (snapshot ordering invariant).
-  std::set<std::tuple<std::string, uint32_t, uint32_t>> seen;
-  std::vector<CacheEntry> deduped;
-  deduped.reserve(folded.entries.size());
-  for (auto it = folded.entries.rbegin(); it != folded.entries.rend(); ++it) {
-    auto key = std::make_tuple(it->measure, std::min(it->i, it->j),
-                               std::max(it->i, it->j));
-    if (!seen.insert(std::move(key)).second) continue;
-    deduped.push_back(*it);
-  }
-  std::reverse(deduped.begin(), deduped.end());
-  folded.entries = std::move(deduped);
   return folded;
 }
 
@@ -876,6 +917,11 @@ Result<bool> MatrixStore::PublishCompaction(const CompactionPlan& plan,
   if (plan.epoch != mutation_epoch_) {
     // A full checkpoint (or truncation) superseded this fold while it ran.
     // Its state already covers everything the fold covered — drop it.
+    return false;
+  }
+  if (plan.from_gen != gen_) {
+    // A concurrent cycle planned from the same generation published first
+    // and swept the files this fold read; its snapshot supersedes ours.
     return false;
   }
   auto& faults = common::FaultInjector::Global();
@@ -916,46 +962,46 @@ Result<ScrubReport> MatrixStore::Scrub() {
     ScrubRewrites().Increment();
   }
 
+  // Rows each salvaged triangle holds — what the journal's row records
+  // must extend contiguously. Unknown (nullopt) when the snapshot is absent
+  // or unreadable: then only CRC damage is quarantined from the journal.
+  std::optional<std::map<std::string, uint64_t>> rows;
   Result<SalvagedFrame> frame = ReadFramedFileSalvage(
       SnapshotPath(), kSnapshotMagic, kSnapshotFormatVersion);
   if (frame.ok()) {
-    if (frame->version >= kSnapshotFormatVersion) {
-      SnapshotSalvageResult salvage = SalvageSnapshotPayloadV2(frame->payload);
-      report.snapshot_chunks_checked = salvage.chunks_checked;
-      if (!salvage.core_ok) {
-        // The query log is source data — it cannot be recomputed, so a
-        // damaged core is not salvageable. Leave the file alone; strict
-        // loads keep failing typed (never a wrong matrix).
-        report.snapshot_unreadable = true;
-      } else {
-        report.snapshot_chunks_quarantined = salvage.chunks_quarantined;
-        report.cells_quarantined = salvage.cells_quarantined;
-        if (!frame->crc_ok || salvage.chunks_quarantined > 0 ||
-            salvage.cells_quarantined > 0) {
-          DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPath(),
-                                                salvage.snapshot));
-          report.snapshot_rewritten = true;
-          ScrubCellsQuarantined().Increment(salvage.cells_quarantined);
-          ScrubRewrites().Increment();
-        }
-      }
-    } else if (!frame->crc_ok ||
-               !DecodeSnapshotPayloadV1(frame->payload).ok()) {
-      // v1 monolithic snapshots have no section checksums to localize the
-      // damage; a corrupt one is all-or-nothing.
+    SnapshotSalvageResult salvage = SalvageSnapshotPayload(frame->payload);
+    report.snapshot_chunks_checked = salvage.chunks_checked;
+    if (!salvage.core_ok) {
+      // The query log is source data — it cannot be recomputed, so a
+      // damaged core is not salvageable. Leave the file alone; strict
+      // loads keep failing typed (never a wrong matrix).
       report.snapshot_unreadable = true;
+    } else {
+      report.snapshot_chunks_quarantined = salvage.chunks_quarantined;
+      report.cells_quarantined = salvage.cells_quarantined;
+      rows.emplace();
+      for (const auto& [name, triangle] : salvage.snapshot.triangles) {
+        (*rows)[name] = triangle.rows;
+      }
+      if (!frame->crc_ok || salvage.chunks_quarantined > 0 ||
+          salvage.cells_quarantined > 0) {
+        DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPath(),
+                                              salvage.snapshot));
+        report.snapshot_rewritten = true;
+        ScrubRewrites().Increment();
+      }
     }
-  } else if (frame.status().code() != StatusCode::kNotFound) {
+  } else if (frame.status().code() == StatusCode::kNotFound) {
+    rows.emplace();
+  } else {
     report.snapshot_unreadable = true;  // structural frame damage
   }
 
   for (uint64_t g = gen_; g <= journal_gen_; ++g) {
     const std::string path = JournalPathForGen(g);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    Result<std::string> read = ReadFileBytes(path);
+    if (!read.ok()) continue;
+    const std::string& data = *read;
     JournalBytesRead().Increment(data.size());
     bool prologue_ok = data.size() >= 8;
     if (prologue_ok) {
@@ -963,7 +1009,7 @@ Result<ScrubReport> MatrixStore::Scrub() {
       Result<uint32_t> magic = header.ReadU32();
       Result<uint32_t> version = header.ReadU32();
       prologue_ok = magic.ok() && *magic == kJournalMagic && version.ok() &&
-                    *version == kFormatVersion;
+                    *version == kJournalFormatVersion;
     }
     if (!prologue_ok) {
       // With a corrupt prologue the record framing cannot be trusted at
@@ -985,7 +1031,22 @@ Result<ScrubReport> MatrixStore::Scrub() {
       // CRC-passing payloads still pass the decode gate: a flip that lands
       // in both the payload and its checksum consistently is astronomically
       // unlikely, but a malformed record must never be rewritten as "good".
-      if (DecodeJournalRecord(payload).ok()) {
+      // A row that no longer extends its triangle contiguously (the
+      // snapshot was truncated, or an earlier row was quarantined) goes
+      // too, so the strict load after the scrub never meets a gap.
+      Result<JournalRecord> record = DecodeJournalRecord(payload);
+      bool usable = record.ok();
+      if (usable && rows.has_value() &&
+          record->kind == JournalRecord::Kind::kRowComputed) {
+        uint64_t& held = (*rows)[record->measure];
+        if (record->row > held) {
+          usable = false;
+          report.cells_quarantined += record->row;
+        } else if (record->row == held) {
+          held += 1;
+        }
+      }
+      if (usable) {
         keep.push_back(std::move(payload));
       } else {
         quarantined_records += 1;
@@ -994,10 +1055,7 @@ Result<ScrubReport> MatrixStore::Scrub() {
     }
     report.journal_records_checked += keep.size() + quarantined_records;
     if (quarantined_records == 0 && !scan.torn_tail) continue;  // clean file
-    Writer prologue;
-    prologue.PutU32(kJournalMagic);
-    prologue.PutU32(kFormatVersion);
-    std::string rewritten = prologue.TakeBuffer();
+    std::string rewritten = JournalPrologue();
     for (const std::string& payload : keep) AppendRecord(payload, &rewritten);
     DPE_RETURN_NOT_OK(WriteFileAtomic(path, rewritten,
                                       fsync_policy_ != FsyncPolicy::kNever));
@@ -1007,6 +1065,7 @@ Result<ScrubReport> MatrixStore::Scrub() {
     ScrubJournalRecordsQuarantined().Increment(quarantined_records);
     ScrubRewrites().Increment();
   }
+  ScrubCellsQuarantined().Increment(report.cells_quarantined);
 
   if (report.cells_quarantined > 0) {
     ++mutation_epoch_;  // the rewritten snapshot supersedes in-flight folds
@@ -1074,7 +1133,7 @@ Status MatrixStore::WriteShardCells(const ShardManifest& manifest,
   Writer w;
   EncodeShardManifest(manifest, &w);
   w.PutU64(cells.size());
-  for (double d : cells) w.PutDouble(d);
+  w.PutDoubles(cells);
   return WriteFramedFile(
       ShardPath(manifest.matrix, manifest.shard_index, manifest.shard_count),
       kShardMagic, w.buffer(), kShardFormatVersion,
@@ -1105,10 +1164,9 @@ Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
                                          uint32_t shard_index,
                                          uint32_t shard_count) const {
   const std::string path = ShardPath(matrix, shard_index, shard_count);
-  DPE_ASSIGN_OR_RETURN(
-      FramedFile file,
-      ReadFramedFileVersions(path, kShardMagic, kShardFormatVersion));
-  Reader r(file.payload);
+  DPE_ASSIGN_OR_RETURN(std::string payload,
+                       ReadFramedFile(path, kShardMagic, kShardFormatVersion));
+  Reader r(payload);
   ShardFile shard;
   DPE_ASSIGN_OR_RETURN(shard.manifest, DecodeShardManifest(&r));
   if (shard.manifest.matrix != matrix ||
@@ -1125,46 +1183,24 @@ Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
                    expected.status().message());
   }
 
-  if (file.version >= kShardFormatVersion) {
-    // Sparse payload: u64 cell count + cells in schedule order. The count
-    // is validated against BOTH the manifest-derived count and the bytes
-    // actually present before anything is allocated.
-    DPE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-    if (count != *expected) {
-      return Corrupt("shard file " + path + " declares " +
-                     std::to_string(count) +
-                     " cells but its manifest's tile range owns " +
-                     std::to_string(*expected));
-    }
-    if (count != r.remaining() / 8 || r.remaining() % 8 != 0) {
-      return Corrupt("shard file " + path + " cell payload is " +
-                     std::to_string(r.remaining()) + " bytes for " +
-                     std::to_string(count) + " cells");
-    }
-    shard.cells.reserve(count);
-    for (uint64_t k = 0; k < count; ++k) {
-      DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-      shard.cells.push_back(d);
-    }
-    DPE_RETURN_NOT_OK(r.ExpectEnd());
-    return shard;
+  // Payload: u64 cell count + cells in schedule order. The count is
+  // validated against BOTH the manifest-derived count and the bytes
+  // actually present before anything is allocated.
+  DPE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+  if (count != *expected) {
+    return Corrupt("shard file " + path + " declares " +
+                   std::to_string(count) +
+                   " cells but its manifest's tile range owns " +
+                   std::to_string(*expected));
   }
-
-  // Legacy v1 dense frame: a full upper triangle (zeros outside the owned
-  // tiles). Decode it — DecodeMatrix bounds n by the bytes present — and
-  // extract the owned cells so callers see one representation.
-  DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix partial, DecodeMatrix(&r));
+  if (count != r.remaining() / 8 || r.remaining() % 8 != 0) {
+    return Corrupt("shard file " + path + " cell payload is " +
+                   std::to_string(r.remaining()) + " bytes for " +
+                   std::to_string(count) + " cells");
+  }
+  shard.cells.resize(count);
+  DPE_RETURN_NOT_OK(r.ReadDoubles(shard.cells));
   DPE_RETURN_NOT_OK(r.ExpectEnd());
-  if (partial.size() != shard.manifest.n) {
-    return Corrupt("shard file " + path + " carries an n = " +
-                   std::to_string(partial.size()) +
-                   " matrix but its manifest declares n = " +
-                   std::to_string(shard.manifest.n));
-  }
-  shard.cells.reserve(*expected);
-  ForEachOwnedCell(shard.manifest, [&](size_t i, size_t j) {
-    shard.cells.push_back(partial.AtUnchecked(i, j));
-  });
   return shard;
 }
 

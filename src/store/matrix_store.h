@@ -2,13 +2,13 @@
 // directory, so incremental mining survives restarts.
 //
 //   <dir>/snapshot.dpe       full checkpoint: query log (canonical SQL),
-//                            memoized cache entries, measure metadata
-//                            (generation 0; generation g > 0 is
-//                            snapshot.<g>.dpe)
+//                            measure metadata, and each measure's packed
+//                            lower triangle (generation 0; generation
+//                            g > 0 is snapshot.<g>.dpe)
 //   <dir>/journal.dpe        append-only log of work done *after* the
-//                            snapshot: appended queries and computed rows
-//                            (generation 0; generation g > 0 is
-//                            journal.<g>.dpe)
+//                            snapshot: appended queries and computed
+//                            triangle rows (generation 0; generation g > 0
+//                            is journal.<g>.dpe)
 //   <dir>/MANIFEST.dpe       tiny CRC'd generation pointer ("DPEC" frame):
 //                            which snapshot generation is current. Absent =
 //                            generation 0, the legacy layout above.
@@ -17,17 +17,34 @@
 //                            one shard of a sharded matrix build: a
 //                            ShardManifest (which tile range of which
 //                            matrix) plus only the cells that range owns,
-//                            in tile-schedule order (~k× smaller than the
-//                            old dense frame, which is still readable) —
-//                            the exchange format between shard workers and
-//                            the merge coordinator (engine/shard.h)
+//                            in tile-schedule order — the exchange format
+//                            between shard workers and the merge
+//                            coordinator (engine/shard.h)
 //
 // The snapshot is rewritten atomically (tmp + rename) and replaces the
 // journal; the journal is the cheap hot path — one small checksummed record
 // per appended query or computed matrix row. Recovery = read snapshot, then
 // replay journal records in order. Every read path returns common::Status
 // on corruption (bad magic, bad checksum, truncated tail) instead of
-// crashing; see store/codec.h for the byte-level format.
+// crashing; see store/codec.h for the byte-level primitives.
+//
+// Snapshot payload (format v3):
+//
+//   [core_len u64][core_crc u32][core]      core = SnapshotMeta + query log
+//   [measure_count u32]
+//   per measure:
+//     [name string][rows u64][header_crc u32]
+//     per chunk of <= kTriangleChunkCells cells of its TriangleCells(rows):
+//       [chunk_crc u32][cells as raw little-endian f64]
+//
+// Chunk sizes follow from `rows`, so the decoder checks the declared rows
+// against the bytes present before it allocates, then bulk-copies each
+// chunk (the frame CRC already covers them; the chunk CRCs let Scrub()
+// localize damage). A journal row record (format v2) is (measure, row, d[0..row)) in
+// the same raw f64 bytes as a triangle row. Replaying rows onto a triangle
+// of `rows` rows: row < rows is a duplicate (a crash between WriteSnapshot
+// and TruncateJournal) and is skipped, row == rows appends, row > rows is a
+// gap and a ParseError.
 //
 // Online compaction folds a long journal into the next snapshot generation
 // without pausing appends (BeginCompaction / FoldFrozen / PublishCompaction
@@ -40,6 +57,8 @@
 #define DPE_STORE_MATRIX_STORE_H_
 
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,15 +75,11 @@ struct Snapshot {
   /// Restores via sql::Parse — the printer/parser round-trip is a tested
   /// property of the sql layer.
   std::vector<std::string> queries;
-  /// Memoized distances, coldest-first, so restoring in order reproduces
-  /// the cache's LRU recency as well as its contents.
-  std::vector<CacheEntry> entries;
-  /// Measure names the snapshot covered, from the core's SnapshotMeta on
-  /// read (write paths derive it from `entries`). The core survives chunk
-  /// quarantine, so after a scrub this still names the measures whose
-  /// cells were lost — what the engine's recompute pass needs when the
-  /// quarantine took every entry of a measure with it.
-  std::vector<std::string> measures;
+  /// Each memoized measure's packed lower triangle, by measure name. A
+  /// measure the scrubber truncated (down to 0 rows if need be) keeps its
+  /// entry — the core's SnapshotMeta names every measure — so the engine's
+  /// recompute pass knows what to rebuild.
+  std::map<std::string, Triangle> triangles;
 };
 
 /// One replayable journal record.
@@ -80,11 +95,11 @@ struct JournalRecord {
   uint32_t index = 0;
   std::string sql;
 
-  // kRowComputed: d(col, row) for every freshly computed column of `row`
-  // under `measure` (cols < row; previously cached columns are absent).
+  // kRowComputed: triangle row `row` of `measure`, i.e. d(0..row-1, row);
+  // distances.size() == row.
   std::string measure;
   uint32_t row = 0;
-  std::vector<std::pair<uint32_t, double>> cols;
+  std::vector<double> distances;
 };
 
 /// What a crash-tolerant journal read recovered — the intact prefix plus an
@@ -98,12 +113,16 @@ struct JournalRecovery {
   uint64_t dropped_bytes = 0;   ///< bytes truncated off the journal file
 };
 
+/// Replays one kRowComputed record onto `triangles` (creating the
+/// measure's entry if needed): a row the triangle already holds is skipped,
+/// the next row is appended, and a row past the end is a gap — ParseError.
+Status ApplyRowRecord(const JournalRecord& record,
+                      std::map<std::string, Triangle>* triangles);
+
 /// One shard file's contents: its manifest plus exactly the cells its tile
 /// range owns, in tile-schedule order (the common/tiles.h traversal). The
-/// count is deterministic from the manifest, so sparse shard files carry
-/// ~shard_count× fewer bytes than the old dense upper triangle — and a
-/// reader never materializes an n x n matrix for one shard's worth of
-/// cells.
+/// count is deterministic from the manifest, so a reader never
+/// materializes an n x n matrix for one shard's worth of cells.
 struct ShardFile {
   ShardManifest manifest;
   std::vector<double> cells;
@@ -134,7 +153,9 @@ struct ScrubReport {
                                     ///< strict loads keep failing typed
   uint64_t snapshot_chunks_checked = 0;
   uint64_t snapshot_chunks_quarantined = 0;
-  uint64_t cells_quarantined = 0;   ///< cache entries lost to quarantine
+  /// Triangle cells dropped: the rows from each damaged chunk to the end
+  /// of its triangle, plus journal rows the truncation left past a gap.
+  uint64_t cells_quarantined = 0;
   bool journal_rewritten = false;   ///< damaged records quarantined + rewritten
   uint64_t journal_records_checked = 0;
   uint64_t journal_records_quarantined = 0;
@@ -195,11 +216,17 @@ class MatrixStore {
 
   /// Appends a kQueryAppended record.
   Status AppendQuery(uint32_t index, const std::string& sql);
-  /// Appends a kRowComputed record; `cols` holds (col, distance) pairs.
+  /// Appends a kRowComputed record; `distances` is row `row`, i.e.
+  /// d(0..row-1, row).
   Status AppendRow(const std::string& measure, uint32_t row,
-                   const std::vector<std::pair<uint32_t, double>>& cols);
-  /// Appends a batch of records in one open/write/flush cycle — the bulk
-  /// path for journaling a whole build's rows.
+                   std::span<const double> distances);
+  /// Appends rows [row_begin, row_end) of `measure` as one kRowComputed
+  /// record each, in one open/write/flush cycle; `packed` holds those rows
+  /// back to back (TriangleCells(row_end) - TriangleCells(row_begin)
+  /// cells). The bulk path for journaling a whole build's rows.
+  Status AppendRows(const std::string& measure, uint32_t row_begin,
+                    uint32_t row_end, std::span<const double> packed);
+  /// Appends a batch of records in one open/write/flush cycle.
   Status AppendRecords(const std::vector<JournalRecord>& records);
   /// All journal records since the last truncation, in append order.
   /// An absent journal file reads as empty; corruption is a ParseError.
@@ -243,12 +270,13 @@ class MatrixStore {
   /// (an existing gen+1 journal is simply kept as the active one).
   Result<CompactionPlan> BeginCompaction();
 
-  /// Reads snapshot.<from_gen> plus the frozen journal and merges them into
-  /// the folded snapshot. Touches only plan fields and immutable state, so
-  /// it is safe to run concurrently with appends (which go to to_gen's
-  /// journal). A torn frozen-journal tail is dropped (its records were
-  /// never acknowledged); mid-stream corruption is a ParseError — run
-  /// Scrub() first.
+  /// Reads snapshot.<from_gen> plus the frozen journal and appends the
+  /// journal's queries and rows onto it (duplicates skipped, a gap is a
+  /// ParseError). Touches only plan fields and immutable state, so it is
+  /// safe to run concurrently with appends (which go to to_gen's journal).
+  /// A torn frozen-journal tail is dropped (its records were never
+  /// acknowledged); mid-stream corruption is a ParseError — run Scrub()
+  /// first.
   Result<Snapshot> FoldFrozen(const CompactionPlan& plan) const;
 
   /// Publishes the folded snapshot: writes snapshot.<to_gen>, lands the
@@ -263,11 +291,14 @@ class MatrixStore {
   /// Verifies every snapshot chunk and journal record of the current
   /// generation, quarantines damaged extents, and rewrites the damaged
   /// files without them (atomic tmp + rename), so a following strict load
-  /// succeeds with the surviving state. A corrupt MANIFEST is rebuilt from
-  /// the highest readable snapshot generation. Core snapshot damage (the
-  /// query log) and v1 monolithic snapshots cannot be partially salvaged:
-  /// they are left untouched (`snapshot_unreadable`) and strict loads keep
-  /// failing typed — never a wrong matrix.
+  /// succeeds with the surviving state. A damaged chunk truncates its
+  /// triangle to the last row wholly before the chunk; journal rows that
+  /// the truncation (or a quarantined record) leaves past a gap are
+  /// quarantined too. A corrupt MANIFEST is rebuilt from the highest
+  /// readable snapshot generation. Core snapshot damage (the query log)
+  /// cannot be salvaged: the file is left untouched
+  /// (`snapshot_unreadable`) and strict loads keep failing typed — never a
+  /// wrong matrix.
   Result<ScrubReport> Scrub();
 
   // -- Standalone matrices ---------------------------------------------------
@@ -295,9 +326,7 @@ class MatrixStore {
   /// Reads shard `shard_index` of `shard_count` for `matrix` back,
   /// validating frame magic/version/checksum, manifest identity against the
   /// requested coordinates, and the cell payload against the count the
-  /// manifest implies. Both shard format versions decode: v2 sparse frames
-  /// natively, legacy v1 dense frames by extracting the owned cells from
-  /// the dense upper triangle. NotFound for an absent shard; ParseError on
+  /// manifest implies. NotFound for an absent shard; ParseError on
   /// corruption.
   Result<ShardFile> ReadShard(const std::string& matrix, uint32_t shard_index,
                               uint32_t shard_count) const;

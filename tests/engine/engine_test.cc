@@ -1,5 +1,5 @@
-// Engine facade: batch mining API, distance-cache correctness across
-// incremental insertions, and agreement with the direct mining calls.
+// Engine facade: batch mining API, memo correctness across incremental
+// insertions, and agreement with the direct mining calls.
 
 #include "engine/engine.h"
 
@@ -236,24 +236,24 @@ TEST(EngineTest, AsyncBuildOfUnknownMeasureFailsFast) {
   EXPECT_EQ(future.get().status().code(), StatusCode::kNotFound);
 }
 
-TEST(EngineTest, CacheByteBudgetIsEnforcedDuringBuilds) {
+TEST(EngineTest, MemoCostsEightBytesPerStoredCell) {
   workload::Scenario s = Shop(11, 16);
-  const size_t budget = 40 * DistanceCache::kEntryBytes;  // < 120 pairs
-  Engine engine(s.Context(), {.threads = 2, .cache_max_bytes = budget});
+  Engine engine(s.Context(), {.threads = 2});
   engine.SetLog(s.log);
+  ASSERT_TRUE(engine.BuildMatrix("token").ok());
+  EXPECT_EQ(engine.cache_bytes_used(), (16 * 15 / 2) * sizeof(double));
+  engine.ClearCache();
+  EXPECT_EQ(engine.cache_size(), 0u);
+  EXPECT_EQ(engine.cache_stats().hits, 0u);
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
 
-  auto built = engine.BuildMatrix("token");
-  ASSERT_TRUE(built.ok());
-  EXPECT_LE(engine.cache_bytes_used(), budget);
-  EXPECT_GT(engine.cache_stats().evictions, 0u);
-
-  // Evicted pairs recompute on demand — the result stays bit-identical.
+  // A cleared memo recomputes on demand — the result stays bit-identical.
   distance::TokenDistance token;
   auto serial = distance::DistanceMatrix::Compute(s.log, token, s.Context());
   ASSERT_TRUE(serial.ok());
   auto rebuilt = engine.BuildMatrix("token");
   ASSERT_TRUE(rebuilt.ok());
-  EXPECT_LE(engine.cache_bytes_used(), budget);
+  EXPECT_EQ(engine.cache_stats().misses, 16u * 15 / 2);
   ExpectBitIdentical(*serial, *rebuilt);
 }
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "distance/access_area_distance.h"
 #include "distance/result_distance.h"
 #include "distance/token_distance.h"
 #include "engine/measure_registry.h"
+#include "store/codec.h"
 #include "workload/scenarios.h"
 
 namespace dpe::engine {
@@ -47,7 +50,7 @@ TEST(MatrixBuilderTest, ParallelEqualsSerialAcrossSizesAndThreads) {
       auto serial = distance::DistanceMatrix::Compute(s.log, **measure, context);
       ASSERT_TRUE(serial.ok()) << serial.status();
       for (size_t threads : {1u, 2u, 4u}) {
-        ThreadPool pool(threads);
+        common::ThreadPool pool(threads);
         MatrixBuilder builder(&pool, MatrixBuilderOptions{16});
         auto parallel = builder.Build(s.log, **measure, context);
         ASSERT_TRUE(parallel.ok()) << parallel.status();
@@ -63,7 +66,7 @@ TEST(MatrixBuilderTest, ParallelEqualsSerialForOddBlockSizes) {
   distance::TokenDistance token;
   auto serial = distance::DistanceMatrix::Compute(s.log, token, context);
   ASSERT_TRUE(serial.ok());
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   for (size_t block : {1u, 5u, 32u, 33u, 1000u}) {
     MatrixBuilder builder(&pool, MatrixBuilderOptions{block});
     auto parallel = builder.Build(s.log, token, context);
@@ -81,7 +84,7 @@ TEST(MatrixBuilderTest, ParallelEqualsSerialForStatefulResultMeasure) {
   auto serial =
       distance::DistanceMatrix::Compute(s.log, serial_measure, context);
   ASSERT_TRUE(serial.ok()) << serial.status();
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   MatrixBuilder builder(&pool, MatrixBuilderOptions{8});
   distance::ResultDistance parallel_measure;
   auto parallel = builder.Build(s.log, parallel_measure, context);
@@ -95,7 +98,7 @@ TEST(MatrixBuilderTest, ParallelEqualsSerialForAccessArea) {
   distance::AccessAreaDistance measure;
   auto serial = distance::DistanceMatrix::Compute(s.log, measure, context);
   ASSERT_TRUE(serial.ok()) << serial.status();
-  ThreadPool pool(3);
+  common::ThreadPool pool(3);
   MatrixBuilder builder(&pool, MatrixBuilderOptions{7});
   auto parallel = builder.Build(s.log, measure, context);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
@@ -120,39 +123,65 @@ TEST(MatrixBuilderTest, PropagatesMeasureErrors) {
   workload::Scenario s = Shop(2, 10);
   distance::MeasureContext empty_context;
   distance::ResultDistance measure;
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   MatrixBuilder builder(&pool);
   auto built = builder.Build(s.log, measure, empty_context);
   EXPECT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MatrixBuilderTest, ComputePairsMatchesMatrixCells) {
+TEST(MatrixBuilderTest, BuildRowsFromEveryStartMatchesMatrixCells) {
+  // Rows [row_begin, n) of the packed lower triangle, for every start, in
+  // bands of every shape: each cell equals the serial reference bit for bit.
   workload::Scenario s = Shop(23, 20);
   distance::MeasureContext context = s.Context();
   distance::TokenDistance token;
   auto serial = distance::DistanceMatrix::Compute(s.log, token, context);
   ASSERT_TRUE(serial.ok());
-
-  std::vector<std::pair<size_t, size_t>> pairs = {
-      {0, 1}, {3, 7}, {19, 2}, {5, 5}, {18, 19}};
-  ThreadPool pool(4);
-  MatrixBuilder builder(&pool, MatrixBuilderOptions{2});
-  auto distances = builder.ComputePairs(s.log, pairs, token, context);
-  ASSERT_TRUE(distances.ok()) << distances.status();
-  ASSERT_EQ(distances->size(), pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ((*distances)[p], serial->at(pairs[p].first, pairs[p].second));
+  common::ThreadPool pool(4);
+  for (size_t block : {1u, 2u, 7u, 64u}) {
+    MatrixBuilder builder(&pool, MatrixBuilderOptions{block});
+    for (size_t row_begin = 0; row_begin <= s.log.size(); ++row_begin) {
+      auto rows = builder.BuildRows(s.log, token, context, row_begin);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      ASSERT_EQ(rows->size(), store::TriangleCells(s.log.size()) -
+                                  store::TriangleCells(row_begin));
+      size_t k = 0;
+      for (size_t i = row_begin; i < s.log.size(); ++i) {
+        for (size_t j = 0; j < i; ++j, ++k) {
+          EXPECT_EQ((*rows)[k], serial->at(j, i))
+              << "block " << block << " row " << i << " col " << j;
+        }
+      }
+    }
   }
 }
 
-TEST(MatrixBuilderTest, ComputePairsRejectsOutOfRangeIndices) {
+TEST(MatrixBuilderTest, BuildRowsCountsEveryComputedCell) {
+  workload::Scenario s = Shop(31, 15);
+  distance::TokenDistance token;
+  obs::MetricsRegistry registry;
+  std::atomic<uint64_t> progress{0};
+  MatrixBuilderOptions options{3, &registry};
+  options.progress_cells = &progress;
+  MatrixBuilder builder(nullptr, options);
+  ASSERT_TRUE(builder.BuildRows(s.log, token, s.Context(), 6).ok());
+  const uint64_t cells =
+      store::TriangleCells(15) - store::TriangleCells(6);
+  EXPECT_EQ(progress.load(), cells);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  const obs::MetricSample* calls =
+      snapshot.Find("distance.calls", {{"measure", "token"}});
+  ASSERT_NE(calls, nullptr);
+  EXPECT_EQ(calls->counter_value, cells);
+}
+
+TEST(MatrixBuilderTest, BuildRowsPastTheLogIsOutOfRange) {
   workload::Scenario s = Shop(29, 5);
   distance::TokenDistance token;
   MatrixBuilder builder(nullptr);
-  auto distances =
-      builder.ComputePairs(s.log, {{0, 99}}, token, s.Context());
-  EXPECT_EQ(distances.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(builder.BuildRows(s.log, token, s.Context(), 6).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(MatrixBuilderTest, ZeroBlockIsInvalidArgumentNotDivisionByZero) {
@@ -166,16 +195,15 @@ TEST(MatrixBuilderTest, ZeroBlockIsInvalidArgumentNotDivisionByZero) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(builder.BuildTiles(s.log, token, context, 0, 0).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      builder.ComputePairs(s.log, {{0, 1}}, token, context).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(builder.BuildRows(s.log, token, context, 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MatrixBuilderTest, EmptyAndSingletonLogsBuildEmptySchedules) {
   workload::Scenario s = Shop(43, 1);
   distance::MeasureContext context = s.Context();
   distance::TokenDistance token;
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   for (size_t block : {1u, 64u}) {
     MatrixBuilder builder(&pool, MatrixBuilderOptions{block});
 

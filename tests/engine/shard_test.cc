@@ -173,7 +173,7 @@ TEST_F(ShardTest, ShardedBuildIsBitIdenticalForAllMeasures) {
   workload::Scenario s = Shop(61, 21);
   distance::MeasureContext context = s.Context();
   MeasureRegistry registry = MeasureRegistry::WithBuiltins();
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
 
   for (const std::string& name : registry.Names()) {
     auto reference_measure = registry.Create(name);
@@ -215,62 +215,6 @@ TEST_F(ShardTest, ShardedBuildIsBitIdenticalForAllMeasures) {
       ExpectBitIdentical(*reference, *merged);
       fs::remove_all(shard_dir);
     }
-  }
-}
-
-TEST_F(ShardTest, LegacyDenseShardSetMergesBitIdentically) {
-  // Shards written by a pre-sparse build — version-1 "DPEH" frames carrying
-  // the full zero-padded upper triangle — must keep merging, including a
-  // mixed directory where only some shards were rewritten sparsely.
-  workload::Scenario s = Shop(67, 17);
-  distance::MeasureContext context = s.Context();
-  distance::TokenDistance token;
-  constexpr size_t kShards = 3;
-  auto plan = PlanShards(s.log.size(), 4, kShards);
-  ASSERT_TRUE(plan.ok());
-
-  MatrixBuilder builder(nullptr, MatrixBuilderOptions{4});
-  auto reference = builder.Build(s.log, token, context);
-  ASSERT_TRUE(reference.ok());
-
-  for (size_t dense_upto : {kShards, size_t{1}}) {  // all-dense, then mixed
-    fs::remove_all(dir_);
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      auto store = store::MatrixStore::Open(dir_);
-      ASSERT_TRUE(store.ok());
-      const TileRange& range = plan->ranges[shard];
-      auto partial =
-          builder.BuildTiles(s.log, token, context, range.begin, range.end);
-      ASSERT_TRUE(partial.ok()) << partial.status();
-      store::ShardManifest manifest;
-      manifest.matrix = "token";
-      manifest.shard_index = static_cast<uint32_t>(shard);
-      manifest.shard_count = kShards;
-      manifest.n = plan->n;
-      manifest.block = plan->block;
-      manifest.tile_begin = range.begin;
-      manifest.tile_end = range.end;
-      if (shard < dense_upto) {
-        // The exact legacy byte layout: manifest + dense matrix, version 1.
-        store::Writer w;
-        store::EncodeShardManifest(manifest, &w);
-        store::EncodeMatrix(*partial, &w);
-        const std::string path =
-            (fs::path(dir_) / ("shard-token-" + std::to_string(shard) + "of" +
-                               std::to_string(kShards) + ".dpe"))
-                .string();
-        ASSERT_TRUE(store::WriteFramedFile(path, store::kShardMagic,
-                                           w.buffer(), /*version=*/1)
-                        .ok());
-      } else {
-        ASSERT_TRUE(store->WriteShard(manifest, *partial).ok());
-      }
-    }
-    auto store = store::MatrixStore::OpenExisting(dir_);
-    ASSERT_TRUE(store.ok());
-    auto merged = ShardCoordinator().Merge(*store, "token", kShards);
-    ASSERT_TRUE(merged.ok()) << merged.status();
-    ExpectBitIdentical(*reference, *merged);
   }
 }
 

@@ -1,4 +1,4 @@
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,12 @@ namespace dpe::engine {
 namespace {
 
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
+  common::ThreadPool pool(0);
   EXPECT_GE(pool.thread_count(), 1u);
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&counter] { counter.fetch_add(1); });
@@ -25,14 +25,14 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   pool.Wait();  // must not hang
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
   std::atomic<int> counter{0};
   {
-    ThreadPool pool(2);
+    common::ThreadPool pool(2);
     for (int i = 0; i < 50; ++i) {
       pool.Submit([&counter] { counter.fetch_add(1); });
     }
@@ -42,9 +42,9 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::vector<std::atomic<int>> touched(1000);
-  ParallelFor(pool, 0, touched.size(), 7, [&](size_t begin, size_t end) {
+  common::ParallelFor(pool, 0, touched.size(), 7, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
   });
   for (size_t i = 0; i < touched.size(); ++i) {
@@ -53,17 +53,17 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
 }
 
 TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   bool called = false;
-  ParallelFor(pool, 5, 5, 1, [&](size_t, size_t) { called = true; });
+  common::ParallelFor(pool, 5, 5, 1, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForTest, ChunkBoundariesRespectGrain) {
-  ThreadPool pool(4);
+  common::ThreadPool pool(4);
   std::mutex mu;
   std::vector<std::pair<size_t, size_t>> chunks;
-  ParallelFor(pool, 0, 103, 10, [&](size_t begin, size_t end) {
+  common::ParallelFor(pool, 0, 103, 10, [&](size_t begin, size_t end) {
     std::lock_guard<std::mutex> lock(mu);
     chunks.emplace_back(begin, end);
   });
@@ -77,20 +77,20 @@ TEST(ParallelForTest, ChunkBoundariesRespectGrain) {
 }
 
 TEST(ThreadPoolTest, StatsCountExecutedTasksAndQueueDepth) {
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
   EXPECT_EQ(pool.GetStats().tasks_executed, 0u);
   for (int i = 0; i < 25; ++i) {
     pool.Submit([] {});
   }
   pool.Wait();
-  const ThreadPool::Stats stats = pool.GetStats();
+  const common::ThreadPool::Stats stats = pool.GetStats();
   EXPECT_EQ(stats.tasks_executed, 25u);
   EXPECT_GE(stats.peak_queue_depth, 1u);
   EXPECT_EQ(pool.queue_depth(), 0u);  // drained
 }
 
 TEST(ThreadPoolTest, BusyTimeAccumulatesAcrossTasks) {
-  ThreadPool pool(1);
+  common::ThreadPool pool(1);
   pool.Submit([] {
     volatile uint64_t sink = 0;
     for (uint64_t i = 0; i < 2000000; ++i) sink += i;
@@ -100,19 +100,19 @@ TEST(ThreadPoolTest, BusyTimeAccumulatesAcrossTasks) {
 }
 
 TEST(ParallelForTest, EmptyRangeRecordsZeroTasks) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 5, 5, 1, [](size_t, size_t) {});
-  const ThreadPool::Stats stats = pool.GetStats();
+  common::ThreadPool pool(2);
+  common::ParallelFor(pool, 5, 5, 1, [](size_t, size_t) {});
+  const common::ThreadPool::Stats stats = pool.GetStats();
   EXPECT_EQ(stats.tasks_executed, 0u);
   EXPECT_EQ(stats.peak_queue_depth, 0u);
   EXPECT_EQ(stats.busy_ns, 0u);
 }
 
 TEST(ParallelForTest, PoolIsReusableAcrossCalls) {
-  ThreadPool pool(3);
+  common::ThreadPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<size_t> sum{0};
-    ParallelFor(pool, 0, 100, 9, [&](size_t begin, size_t end) {
+    common::ParallelFor(pool, 0, 100, 9, [&](size_t begin, size_t end) {
       size_t local = 0;
       for (size_t i = begin; i < end; ++i) local += i;
       sum.fetch_add(local);

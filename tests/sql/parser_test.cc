@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sql/printer.h"
 
 namespace dpe::sql {
@@ -152,6 +154,57 @@ TEST(ParserTest, CloneAndEquals) {
   EXPECT_TRUE(q.Equals(copy));
   copy.limit = 4;
   EXPECT_FALSE(q.Equals(copy));
+}
+
+std::string Nested(size_t depth) {
+  return "SELECT a FROM r WHERE " + std::string(depth, '(') + "a = 1" +
+         std::string(depth, ')');
+}
+
+TEST(ParserTest, NestingAtTheDepthLimitParses) {
+  auto q = Parse(Nested(kMaxPredicateDepth));
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_NE(q->where, nullptr);
+  EXPECT_EQ(q->where->kind, Predicate::Kind::kCompare);
+}
+
+TEST(ParserTest, NestingOnePastTheDepthLimitIsParseError) {
+  auto q = Parse(Nested(kMaxPredicateDepth + 1));
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, HundredThousandOpenParensIsParseErrorNotACrash) {
+  // Used to recurse once per '(' until the stack overflowed.
+  EXPECT_EQ(Parse(Nested(100000)).status().code(), StatusCode::kParseError);
+  const std::string unbalanced =
+      "SELECT a FROM r WHERE " + std::string(100000, '(');
+  EXPECT_EQ(Parse(unbalanced).status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, NotChainsCountTowardTheDepthLimit) {
+  std::string nots;
+  for (size_t k = 0; k < kMaxPredicateDepth; ++k) nots += "NOT ";
+  auto at_limit = Parse("SELECT a FROM r WHERE " + nots + "a = 1");
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(Parse("SELECT a FROM r WHERE NOT " + nots + "a = 1")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  std::string deep;
+  for (size_t k = 0; k < 100000; ++k) deep += "NOT ";
+  EXPECT_EQ(Parse("SELECT a FROM r WHERE " + deep + "a = 1").status().code(),
+            StatusCode::kParseError);
+}
+
+TEST(ParserTest, DestroyingADeepPredicateTreeDoesNotRecurse) {
+  // Built directly (the parser caps depth; callers building trees do not):
+  // a million-level NOT chain must tear down without a stack overflow.
+  PredicatePtr chain =
+      Predicate::Compare(ColumnRef{"", "a"}, CompareOp::kEq, Literal::Int(1));
+  for (size_t k = 0; k < 1000000; ++k) chain = Predicate::Not(std::move(chain));
+  chain.reset();
+  SUCCEED();
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // persistent store): build a matrix for N logs, SaveCheckpoint, reload in a
 // fresh Engine, append M new logs, and the incrementally-completed matrix
 // must be bit-identical to a cold build over N+M logs — while the journal
-// shows only the new rows were computed and the LRU cache never exceeds its
-// byte budget. A second restart then replays the journal and rebuilds with
+// shows only the new rows were computed and the memo holds exactly the
+// built cells. A second restart then replays the journal and rebuilds with
 // zero recomputation.
 
 #include <gtest/gtest.h>
@@ -46,14 +46,9 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, KillRestartRoundTripIsBitIdenticalAndIncremental) {
   workload::Scenario s = Shop(42, kTotal);
-  // Budget with finite headroom: holds every pair of the full log (plus the
-  // second measure used below), but is a real LRU bound that the test
-  // checks is never exceeded.
   EngineOptions options;
   options.threads = 2;
   options.block = 8;
-  options.cache_max_bytes = 3 * (kTotal * (kTotal - 1) / 2) *
-                            DistanceCache::kEntryBytes;
 
   // --- Session 1: build over N queries, checkpoint, "die". ---
   {
@@ -63,7 +58,6 @@ TEST_F(CheckpointTest, KillRestartRoundTripIsBitIdenticalAndIncremental) {
     ASSERT_FALSE(engine.checkpoint_attached());
     ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
     ASSERT_TRUE(engine.checkpoint_attached());
-    EXPECT_LE(engine.cache_bytes_used(), options.cache_max_bytes);
   }
 
   // --- Session 2: fresh engine, restore, append M, rebuild. ---
@@ -77,7 +71,8 @@ TEST_F(CheckpointTest, KillRestartRoundTripIsBitIdenticalAndIncremental) {
   }
   auto incremental = engine2.BuildMatrix("token");
   ASSERT_TRUE(incremental.ok()) << incremental.status();
-  EXPECT_LE(engine2.cache_bytes_used(), options.cache_max_bytes);
+  EXPECT_EQ(engine2.cache_bytes_used(),
+            kTotal * (kTotal - 1) / 2 * sizeof(double));
 
   // Every pre-checkpoint pair was served from the restored cache...
   EXPECT_EQ(engine2.cache_stats().hits, kInitial * (kInitial - 1) / 2);
@@ -119,7 +114,6 @@ TEST_F(CheckpointTest, KillRestartRoundTripIsBitIdenticalAndIncremental) {
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(engine3.cache_stats().misses, 0u);  // zero recomputation
   ExpectBitIdentical(*full, *replayed);
-  EXPECT_LE(engine3.cache_bytes_used(), options.cache_max_bytes);
 }
 
 TEST_F(CheckpointTest, MultiMeasureCheckpointRestoresBoth) {
@@ -166,18 +160,18 @@ TEST_F(CheckpointTest, LoadFromMissingDirectoryIsNotFoundAndCreatesNothing) {
   EXPECT_FALSE(fs::exists(dir_));
 }
 
-TEST_F(CheckpointTest, EvictedRecomputesAreNotReJournaled) {
+TEST_F(CheckpointTest, RecomputedRowsAreNotReJournaled) {
   workload::Scenario s = Shop(37, 10);
-  EngineOptions options;
-  options.cache_max_bytes = 20 * DistanceCache::kEntryBytes;  // < 45 pairs
-  Engine engine(s.Context(), options);
+  Engine engine(s.Context());
   engine.SetLog(s.log);
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
 
-  // Each rebuild recomputes the evicted pairs; none of those rows are new,
-  // so the journal must stay empty instead of growing per rebuild.
+  // A cleared memo recomputes every row; none of them is new, so the
+  // journal must stay empty instead of growing per rebuild.
+  engine.ClearCache();
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
+  engine.ClearCache();
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -189,6 +183,7 @@ TEST_F(CheckpointTest, EvictedRecomputesAreNotReJournaled) {
   workload::Scenario extra = Shop(38, 1);
   ASSERT_TRUE(engine.AddQuery(extra.log[0]).ok());
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
+  engine.ClearCache();
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   journal = store->ReadJournal();
   ASSERT_TRUE(journal.ok());
@@ -257,7 +252,9 @@ TEST_F(CheckpointTest, LoadToleratesJournalSubsumedBySnapshot) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->AppendQuery(8, sql::ToSql(s.log[8])).ok());
     ASSERT_TRUE(store->AppendQuery(9, sql::ToSql(s.log[9])).ok());
-    ASSERT_TRUE(store->AppendRow("token", 8, {{0, expect->at(0, 8)}}).ok());
+    std::vector<double> row8;
+    for (size_t j = 0; j < 8; ++j) row8.push_back(expect->at(j, 8));
+    ASSERT_TRUE(store->AppendRow("token", 8, row8).ok());
   }
 
   Engine restored(s.Context());
@@ -269,7 +266,9 @@ TEST_F(CheckpointTest, LoadToleratesJournalSubsumedBySnapshot) {
   ExpectBitIdentical(*expect, *got);
 }
 
-TEST_F(CheckpointTest, JournalRowWithColumnAboveRowIsParseError) {
+TEST_F(CheckpointTest, JournalRowGapIsParseError) {
+  // Valid CRC, impossible content: row 5 of a triangle that holds no rows.
+  // A strict load cannot place it and must fail typed, engine untouched.
   workload::Scenario s = Shop(31, 6);
   {
     Engine engine(s.Context());
@@ -279,11 +278,39 @@ TEST_F(CheckpointTest, JournalRowWithColumnAboveRowIsParseError) {
   {
     auto store = store::MatrixStore::Open(dir_);
     ASSERT_TRUE(store.ok());
-    // Valid CRC, nonsense content: column 4000000000 of row 5.
-    ASSERT_TRUE(store->AppendRow("token", 5, {{4000000000u, 0.3}}).ok());
+    ASSERT_TRUE(
+        store->AppendRow("token", 5, std::vector<double>(5, 0.3)).ok());
   }
   Engine engine(s.Context());
+  engine.SetLog({s.log.begin(), s.log.begin() + 2});
   EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
+  EXPECT_EQ(engine.log_size(), 2u);
+  EXPECT_FALSE(engine.checkpoint_attached());
+}
+
+TEST_F(CheckpointTest, DeeplyNestedJournaledQueryFailsTheLoadTyped) {
+  // A journaled query record nested 100,000 parentheses deep (CRC-valid,
+  // hostile text) must fail the load with ParseError — not overflow the
+  // parser's stack — and leave the engine as it was.
+  workload::Scenario s = Shop(33, 4);
+  {
+    Engine engine(s.Context());
+    engine.SetLog(s.log);
+    ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
+  }
+  {
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    const std::string hostile = "SELECT a FROM t WHERE " +
+                                std::string(100000, '(') + "a = 1" +
+                                std::string(100000, ')');
+    ASSERT_TRUE(store->AppendQuery(4, hostile).ok());
+  }
+  Engine engine(s.Context());
+  engine.SetLog({s.log.begin(), s.log.begin() + 2});
+  EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
+  EXPECT_EQ(engine.log_size(), 2u);
+  EXPECT_FALSE(engine.checkpoint_attached());
 }
 
 TEST_F(CheckpointTest, TornJournalTailRecoversOnLoad) {

@@ -1,5 +1,6 @@
-// Store codec: primitive round-trips, property-style random matrix / cache
-// round-trips across all six built-in measures, and corruption tests — a
+// Store codec: primitive round-trips (bulk doubles, slice-by-8 CRC against
+// the bytewise reference), property-style random matrix round-trips, and
+// corruption tests — a
 // truncated file, a bad magic, or any single flipped byte must surface as a
 // Status error, never undefined behaviour.
 
@@ -7,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 
 #include "common/rng.h"
-#include "engine/measure_registry.h"
 
 namespace dpe::store {
 namespace {
@@ -96,10 +97,45 @@ TEST(CodecTest, StringLengthBeyondInputIsError) {
   EXPECT_EQ(r.ReadString().status().code(), StatusCode::kParseError);
 }
 
+/// The bytewise table-driven CRC-32 — the reference the slice-by-8
+/// implementation must agree with on every input.
+uint32_t BytewiseCrc32(std::string_view data) {
+  uint32_t table[256];
+  for (uint32_t n = 0; n < 256; ++n) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[n] = c;
+  }
+  uint32_t c = 0xFFFFFFFFu;
+  for (char ch : data) {
+    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
 TEST(CodecTest, Crc32KnownVector) {
   // The classic IEEE test vector.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
+  EXPECT_EQ(BytewiseCrc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
+            BytewiseCrc32("The quick brown fox jumps over the lazy dog"));
+}
+
+TEST(CodecTest, Crc32SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(31);
+  std::string buffer(64 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.NextBelow(256));
+  for (size_t offset = 0; offset < 8; ++offset) {  // unaligned starts
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view view(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(view), BytewiseCrc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  std::string big(100000, '\0');
+  for (char& c : big) c = static_cast<char>(rng.NextBelow(256));
+  EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
 }
 
 TEST(CodecTest, MatrixRoundTripRandomProperty) {
@@ -132,50 +168,44 @@ TEST(CodecTest, MatrixDeclaringHugeSizeIsRejectedBeforeAllocating) {
   EXPECT_EQ(DecodeMatrix(&r).status().code(), StatusCode::kParseError);
 }
 
-TEST(CodecTest, CacheEntriesRoundTripAcrossAllSixMeasures) {
-  const std::vector<std::string> measures =
-      engine::MeasureRegistry::WithBuiltins().Names();
-  ASSERT_EQ(measures.size(), 6u);
-
+TEST(CodecTest, DoublesRoundTripBitIdenticalAtEveryLength) {
+  // The bulk copy must decode exactly what per-value PutDouble encodes,
+  // NaN payloads and signed zeros included.
   Rng rng(7);
-  std::vector<CacheEntry> entries;
-  for (const std::string& measure : measures) {
-    for (size_t k = 0; k < 40; ++k) {
-      CacheEntry e;
-      e.measure = measure;
-      e.i = static_cast<uint32_t>(rng.NextBelow(100));
-      e.j = static_cast<uint32_t>(rng.NextBelow(100));
-      e.d = rng.NextDouble();
-      entries.push_back(std::move(e));
+  for (size_t count = 0; count < 40; ++count) {
+    std::vector<double> values(count);
+    for (double& v : values) v = rng.NextDouble() * 1e6 - 5e5;
+    if (count > 2) {
+      values[0] = -0.0;
+      values[1] = std::numeric_limits<double>::quiet_NaN();
+    }
+    Writer bulk;
+    bulk.PutDoubles(values);
+    Writer single;
+    for (double v : values) single.PutDouble(v);
+    ASSERT_EQ(bulk.buffer(), single.buffer()) << "count " << count;
+
+    std::vector<double> decoded(count);
+    Reader r(bulk.buffer());
+    ASSERT_TRUE(r.ReadDoubles(decoded).ok());
+    EXPECT_TRUE(r.AtEnd());
+    for (size_t k = 0; k < count; ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(decoded[k]),
+                std::bit_cast<uint64_t>(values[k]));
     }
   }
-  Writer w;
-  EncodeCacheEntries(entries, &w);
-  Reader r(w.buffer());
-  auto decoded = DecodeCacheEntries(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(*decoded, entries);
 }
 
-TEST(CodecTest, CacheEntriesHugeNameCountIsRejectedBeforeAllocating) {
+TEST(CodecTest, ReadDoublesPastTheEndIsParseError) {
   Writer w;
-  w.PutU32(0xFFFFFFFFu);  // ~4 billion names in a 4-byte payload
-  Reader r(w.buffer());
-  EXPECT_EQ(DecodeCacheEntries(&r).status().code(), StatusCode::kParseError);
-}
-
-TEST(CodecTest, CacheEntriesBadNameIndexIsError) {
-  Writer w;
-  w.PutU32(1);          // one name
-  w.PutString("token");
-  w.PutU64(1);          // one entry
-  w.PutU32(5);          // ...referencing name #5
-  w.PutU32(0);
-  w.PutU32(1);
   w.PutDouble(0.5);
+  w.PutU32(7);  // 12 bytes: one double and a half
   Reader r(w.buffer());
-  EXPECT_EQ(DecodeCacheEntries(&r).status().code(), StatusCode::kParseError);
+  std::vector<double> two(2);
+  EXPECT_EQ(r.ReadDoubles(two).code(), StatusCode::kParseError);
+  std::vector<double> one(1);
+  Reader empty("");
+  EXPECT_EQ(empty.ReadDoubles(one).code(), StatusCode::kParseError);
 }
 
 TEST(CodecTest, SnapshotMetaRoundTrip) {

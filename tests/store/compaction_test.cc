@@ -17,7 +17,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,20 +40,20 @@ void WriteBytes(const fs::path& path, const std::string& bytes) {
 }
 
 /// Generation-independent view of a store directory: the query log plus
-/// every cached cell, after snapshot read + full journal replay. Two
+/// every measure's triangle, after snapshot read + full journal replay. Two
 /// directories holding "the same state" compare equal here no matter which
 /// generation (or how much journal tail) each one carries it in.
 struct MaterializedState {
   std::vector<std::string> queries;
-  std::map<std::tuple<std::string, uint32_t, uint32_t>, double> cells;
+  std::map<std::string, Triangle> triangles;
 
   bool operator==(const MaterializedState&) const = default;
-};
 
-std::tuple<std::string, uint32_t, uint32_t> CellKey(const std::string& measure,
-                                                    uint32_t a, uint32_t b) {
-  return {measure, std::min(a, b), std::max(a, b)};
-}
+  /// d(col, row), col < row, of `measure`.
+  double Cell(const std::string& measure, uint64_t col, uint64_t row) const {
+    return triangles.at(measure).cells.at(TriangleCells(row) + col);
+  }
+};
 
 Result<MaterializedState> Materialize(const std::string& dir) {
   auto store = MatrixStore::OpenExisting(dir);
@@ -63,9 +62,7 @@ Result<MaterializedState> Materialize(const std::string& dir) {
   auto snapshot = store->ReadSnapshot();
   if (snapshot.ok()) {
     state.queries = snapshot->queries;
-    for (const CacheEntry& entry : snapshot->entries) {
-      state.cells[CellKey(entry.measure, entry.i, entry.j)] = entry.d;
-    }
+    state.triangles = snapshot->triangles;
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
@@ -80,9 +77,8 @@ Result<MaterializedState> Materialize(const std::string& dir) {
       }
       state.queries.push_back(record.sql);
     } else {
-      for (const auto& [col, d] : record.cols) {
-        state.cells[CellKey(record.measure, col, record.row)] = d;
-      }
+      Status applied = ApplyRowRecord(record, &state.triangles);
+      if (!applied.ok()) return applied;
     }
   }
   return state;
@@ -91,21 +87,18 @@ Result<MaterializedState> Materialize(const std::string& dir) {
 Snapshot BaseSnapshot() {
   Snapshot snap;
   snap.queries = {"SELECT a FROM t0", "SELECT b FROM t1", "SELECT c FROM t2"};
-  snap.entries = {
-      CacheEntry{"token", 0, 1, 0.25},
-      CacheEntry{"token", 0, 2, 0.5},
-      CacheEntry{"token", 1, 2, 0.75},
-      CacheEntry{"structure", 0, 1, 0.125},
-  };
+  snap.triangles["token"] = Triangle{3, {0.25, 0.5, 0.75}};
+  snap.triangles["structure"] = Triangle{3, {0.125, 0.375, 0.625}};
   return snap;
 }
+
+using Row = std::vector<double>;
 
 /// Journal tail on top of BaseSnapshot: one appended query plus its rows.
 void SeedJournal(MatrixStore& store) {
   ASSERT_TRUE(store.AppendQuery(3, "SELECT d FROM t3").ok());
-  ASSERT_TRUE(
-      store.AppendRow("token", 3, {{0, 0.1}, {1, 0.2}, {2, 0.3}}).ok());
-  ASSERT_TRUE(store.AppendRow("structure", 3, {{0, 0.4}}).ok());
+  ASSERT_TRUE(store.AppendRow("token", 3, Row{0.1, 0.2, 0.3}).ok());
+  ASSERT_TRUE(store.AppendRow("structure", 3, Row{0.4, 0.45, 0.5}).ok());
 }
 
 class CompactionTest : public ::testing::Test {
@@ -138,7 +131,7 @@ TEST_F(CompactionTest, ManualCycleFoldsJournalIntoNextGeneration) {
   // Appends keep landing while the fold runs — they go to the rotated
   // journal and must survive the publish untouched.
   ASSERT_TRUE(store->AppendQuery(4, "SELECT e FROM t4").ok());
-  ASSERT_TRUE(store->AppendRow("token", 4, {{0, 0.9}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 4, Row{0.9, 0.8, 0.7, 0.6}).ok());
 
   auto folded = store->FoldFrozen(*plan);
   ASSERT_TRUE(folded.ok()) << folded.status();
@@ -162,9 +155,11 @@ TEST_F(CompactionTest, ManualCycleFoldsJournalIntoNextGeneration) {
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->queries.size(), 5u);
   EXPECT_EQ(state->queries[4], "SELECT e FROM t4");
-  EXPECT_EQ(state->cells.at(CellKey("token", 0, 3)), 0.1);
-  EXPECT_EQ(state->cells.at(CellKey("token", 0, 4)), 0.9);
-  EXPECT_EQ(state->cells.size(), 9u);
+  EXPECT_EQ(state->Cell("token", 0, 3), 0.1);
+  EXPECT_EQ(state->Cell("token", 0, 4), 0.9);
+  EXPECT_EQ(state->Cell("structure", 2, 3), 0.5);
+  EXPECT_EQ(state->triangles.at("token").rows, 5u);
+  EXPECT_EQ(state->triangles.at("structure").rows, 4u);
 }
 
 TEST_F(CompactionTest, BeginWithEmptyJournalHasNoWork) {
@@ -182,25 +177,31 @@ TEST_F(CompactionTest, BeginWithEmptyJournalHasNoWork) {
   EXPECT_FALSE(*published);
 }
 
-TEST_F(CompactionTest, FoldKeepsTheLatestValueForARecomputedCell) {
+TEST_F(CompactionTest, FoldSkipsRowsTheSnapshotAlreadyHolds) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
-  // The journal recomputes a cell the snapshot already holds (an evicted
-  // pair rebuilt later): the fold must keep the journal's value, once.
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.625}}).ok());
+  // A stale row record the snapshot already holds (a crash between
+  // WriteSnapshot and TruncateJournal left it behind): the fold keeps the
+  // snapshot's row and appends the new one exactly once.
+  ASSERT_TRUE(store->AppendRow("token", 2, Row{0.5, 0.75}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 3, Row{0.1, 0.2, 0.3}).ok());
   auto plan = store->BeginCompaction();
   ASSERT_TRUE(plan.ok());
   auto folded = store->FoldFrozen(*plan);
   ASSERT_TRUE(folded.ok()) << folded.status();
-  size_t occurrences = 0;
-  for (const CacheEntry& entry : folded->entries) {
-    if (CellKey(entry.measure, entry.i, entry.j) == CellKey("token", 0, 2)) {
-      ++occurrences;
-      EXPECT_EQ(entry.d, 0.625);
-    }
-  }
-  EXPECT_EQ(occurrences, 1u);
+  EXPECT_EQ(folded->triangles.at("token"),
+            (Triangle{4, {0.25, 0.5, 0.75, 0.1, 0.2, 0.3}}));
+}
+
+TEST_F(CompactionTest, FoldRejectsARowPastTheEndOfItsTriangle) {
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+  ASSERT_TRUE(store->AppendRow("token", 4, Row{0.1, 0.2, 0.3, 0.4}).ok());
+  auto plan = store->BeginCompaction();
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(store->FoldFrozen(*plan).status().code(), StatusCode::kParseError);
 }
 
 TEST_F(CompactionTest, PublishAbortsWhenACheckpointSupersedesThePlan) {
@@ -229,6 +230,37 @@ TEST_F(CompactionTest, PublishAbortsWhenACheckpointSupersedesThePlan) {
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->queries.size(), 5u);
   EXPECT_EQ(state->queries.back(), "SELECT f FROM t5");
+}
+
+TEST_F(CompactionTest, ConcurrentPlanFromAPublishedGenerationAborts) {
+  // Two cycles plan from the same generation (an explicit CompactNow racing
+  // the background trigger). The first publishes and sweeps generation 0;
+  // the second's fold read swept files, so its publish must abort rather
+  // than overwrite the newer snapshot.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+  SeedJournal(*store);
+  auto reference = Materialize(dir_);
+  ASSERT_TRUE(reference.ok());
+  auto first = store->BeginCompaction();
+  auto second = store->BeginCompaction();
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(first->from_gen, second->from_gen);
+  auto folded = store->FoldFrozen(*first);
+  ASSERT_TRUE(folded.ok());
+  auto published = store->PublishCompaction(*first, *folded);
+  ASSERT_TRUE(published.ok());
+  ASSERT_TRUE(*published);
+
+  auto stale = store->FoldFrozen(*second);  // its inputs are gone
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  auto aborted = store->PublishCompaction(*second, *stale);
+  ASSERT_TRUE(aborted.ok()) << aborted.status();
+  EXPECT_FALSE(*aborted);
+  auto state = Materialize(dir_);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(*state, *reference);
 }
 
 TEST_F(CompactionTest, ManifestTruncatedAtEveryByteStillRecoversTheFullState) {

@@ -16,6 +16,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// One triangle row: row r holds d(0..r-1, r).
+using Row = std::vector<double>;
+
 class MatrixStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -34,7 +37,8 @@ class MatrixStoreTest : public ::testing::Test {
 Snapshot MakeSnapshot() {
   Snapshot s;
   s.queries = {"SELECT a FROM t WHERE a = 1;", "SELECT b FROM t WHERE b = 2;"};
-  s.entries = {{"token", 0, 1, 0.5}, {"structure", 0, 1, 0.25}};
+  s.triangles["token"] = Triangle{2, {0.5}};
+  s.triangles["structure"] = Triangle{2, {0.25}};
   return s;
 }
 
@@ -93,7 +97,87 @@ TEST_F(MatrixStoreTest, SnapshotRoundTrip) {
   auto read = store->ReadSnapshot();
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read->queries, written.queries);
-  EXPECT_EQ(read->entries, written.entries);
+  EXPECT_EQ(read->triangles, written.triangles);
+}
+
+TEST_F(MatrixStoreTest, LargeTriangleRoundTripsAcrossManyChunks) {
+  // 200 rows = 19900 cells: five CRC'd chunks, the last one partial.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  Snapshot written;
+  Triangle& triangle = written.triangles["token"];
+  triangle.rows = 200;
+  Rng rng(3);
+  for (uint64_t k = 0; k < TriangleCells(200); ++k) {
+    triangle.cells.push_back(rng.NextDouble());
+  }
+  written.triangles["structure"];  // a measure with no rows yet
+  ASSERT_TRUE(store->WriteSnapshot(written).ok());
+  auto read = store->ReadSnapshot();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->triangles, written.triangles);
+  // About 8 bytes per cell on disk.
+  const auto bytes = fs::file_size(fs::path(dir_) / "snapshot.dpe");
+  EXPECT_LT(static_cast<double>(bytes) / TriangleCells(200), 8.1);
+}
+
+TEST_F(MatrixStoreTest, SnapshotDeclaringHugeRowCountIsParseError) {
+  // A v3 payload whose (CRC-valid) header declares 2^32 rows — about 2^63
+  // cells — in a few bytes must fail typed before anything is allocated.
+  Writer core;
+  SnapshotMeta meta;
+  meta.measures = {"token"};
+  EncodeSnapshotMeta(meta, &core);
+  core.PutU64(0);  // no queries
+  Writer header;
+  header.PutString("token");
+  header.PutU64(uint64_t{1} << 32);
+  Writer w;
+  w.PutU64(core.buffer().size());
+  w.PutU32(Crc32(core.buffer()));
+  w.PutRaw(core.buffer());
+  w.PutU32(1);
+  w.PutRaw(header.buffer());
+  w.PutU32(Crc32(header.buffer()));
+  w.PutDouble(0.5);
+  ASSERT_TRUE(fs::create_directories(dir_));
+  ASSERT_TRUE(WriteFramedFile((fs::path(dir_) / "snapshot.dpe").string(),
+                              kSnapshotMagic, w.buffer(),
+                              kSnapshotFormatVersion)
+                  .ok());
+  auto store = MatrixStore::OpenExisting(dir_);
+  ASSERT_TRUE(store.ok());
+  auto read = store->ReadSnapshot();
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+  EXPECT_NE(read.status().message().find("4294967296 rows"), std::string::npos)
+      << read.status();
+}
+
+TEST_F(MatrixStoreTest, JournalRowLengthMustMatchItsRowIndex) {
+  // A CRC-valid row record claiming row 4000000000 with one distance: the
+  // decoder must reject the length mismatch without allocating the row.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  Writer payload;
+  payload.PutU8(static_cast<uint8_t>(JournalRecord::Kind::kRowComputed));
+  payload.PutString("token");
+  payload.PutU32(4000000000u);
+  payload.PutDouble(0.25);
+  Writer prologue;
+  prologue.PutU32(kJournalMagic);
+  prologue.PutU32(kJournalFormatVersion);
+  std::string bytes = prologue.TakeBuffer();
+  AppendRecord(payload.buffer(), &bytes);
+  std::ofstream out(fs::path(dir_) / "journal.dpe", std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  EXPECT_EQ(store->ReadJournal().status().code(), StatusCode::kParseError);
+  EXPECT_EQ(store->RecoverJournal().status().code(), StatusCode::kParseError);
+
+  // The writer refuses to produce such a record in the first place.
+  EXPECT_EQ(store->AppendRow("token", 3, Row{0.5}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(MatrixStoreTest, SnapshotOverwriteReplacesAtomically) {
@@ -106,14 +190,14 @@ TEST_F(MatrixStoreTest, SnapshotOverwriteReplacesAtomically) {
   auto read = store->ReadSnapshot();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->queries, second.queries);
-  EXPECT_TRUE(read->entries.empty());
+  EXPECT_TRUE(read->triangles.empty());
 }
 
 TEST_F(MatrixStoreTest, JournalAppendReadTruncate) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->AppendQuery(2, "SELECT a FROM t WHERE a = 3;").ok());
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.1}, {1, 0.9}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 2, Row{0.1, 0.9}).ok());
   ASSERT_TRUE(store->AppendQuery(3, "SELECT b FROM t WHERE b = 4;").ok());
 
   auto records = store->ReadJournal();
@@ -125,9 +209,7 @@ TEST_F(MatrixStoreTest, JournalAppendReadTruncate) {
   EXPECT_EQ((*records)[1].kind, JournalRecord::Kind::kRowComputed);
   EXPECT_EQ((*records)[1].measure, "token");
   EXPECT_EQ((*records)[1].row, 2u);
-  ASSERT_EQ((*records)[1].cols.size(), 2u);
-  EXPECT_EQ((*records)[1].cols[0], (std::pair<uint32_t, double>{0, 0.1}));
-  EXPECT_EQ((*records)[1].cols[1], (std::pair<uint32_t, double>{1, 0.9}));
+  EXPECT_EQ((*records)[1].distances, (Row{0.1, 0.9}));
   EXPECT_EQ((*records)[2].index, 3u);
 
   ASSERT_TRUE(store->TruncateJournal().ok());
@@ -141,7 +223,7 @@ TEST_F(MatrixStoreTest, JournalSurvivesReopen) {
     auto store = MatrixStore::Open(dir_);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
-    ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+    ASSERT_TRUE(store->AppendRow("token", 1, Row{0.75}).ok());
   }
   auto reopened = MatrixStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
@@ -155,7 +237,7 @@ TEST_F(MatrixStoreTest, JournalSurvivesReopen) {
 TEST_F(MatrixStoreTest, CorruptJournalTailIsParseError) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, Row{0.75}).ok());
   // Simulate a torn append: write half a record's worth of garbage.
   std::ofstream out(fs::path(dir_) / "journal.dpe",
                     std::ios::binary | std::ios::app);
@@ -167,13 +249,13 @@ TEST_F(MatrixStoreTest, CorruptJournalTailIsParseError) {
 TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, Row{0.75}).ok());
   ASSERT_TRUE(store->AppendQuery(2, "SELECT a FROM t WHERE a = 1;").ok());
   const auto intact_size = fs::file_size(fs::path(dir_) / "journal.dpe");
 
   // Crash mid-append: any cut point inside a third record must recover to
   // exactly the two intact records.
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.1}, {1, 0.2}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 2, Row{0.1, 0.2}).ok());
   std::ifstream in(fs::path(dir_) / "journal.dpe", std::ios::binary);
   std::string full((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -199,7 +281,7 @@ TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
     ASSERT_TRUE(strict.ok());
     EXPECT_EQ(strict->size(), 2u);
   }
-  ASSERT_TRUE(store->AppendRow("token", 3, {{0, 0.5}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 3, Row{0.5, 0.0, 0.0}).ok());
   auto after_append = store->ReadJournal();
   ASSERT_TRUE(after_append.ok());
   EXPECT_EQ(after_append->size(), 3u);
@@ -230,7 +312,7 @@ TEST_F(MatrixStoreTest, RecoverJournalHandlesHeaderStub) {
   EXPECT_EQ(recovered->dropped_bytes, 3u);
   EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.dpe"));
   // Appends start a clean journal afterwards.
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.5}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, Row{0.5}).ok());
   auto after = store->ReadJournal();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 1u);
@@ -371,17 +453,12 @@ TEST_F(MatrixStoreTest, SparseShardFilesOmitUnownedCells) {
   EXPECT_EQ(*count, 6u);
 }
 
-TEST_F(MatrixStoreTest, LegacyDenseV1ShardFrameStillReads) {
-  // Fabricate the exact bytes a pre-sparse build wrote: a version-1 "DPEH"
-  // frame holding manifest + dense upper triangle. ReadShard must decode it
-  // and surface the same owned cells a sparse write would.
+TEST_F(MatrixStoreTest, DenseV1ShardFrameIsParseError) {
+  // The dense version-1 shard layout (manifest + full upper triangle) has
+  // no reader: such a frame is rejected typed, never decoded.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  Rng rng(23);
   distance::DistanceMatrix partial(9);
-  for (size_t i = 0; i < 9; ++i) {
-    for (size_t j = i + 1; j < 9; ++j) partial.set(i, j, rng.NextDouble());
-  }
   const ShardManifest manifest = MakeManifest(1, 3, 9);
   Writer w;
   EncodeShardManifest(manifest, &w);
@@ -389,11 +466,8 @@ TEST_F(MatrixStoreTest, LegacyDenseV1ShardFrameStillReads) {
   const std::string path = (fs::path(dir_) / "shard-token-1of3.dpe").string();
   ASSERT_TRUE(
       WriteFramedFile(path, kShardMagic, w.buffer(), /*version=*/1).ok());
-
-  auto read = store->ReadShard("token", 1, 3);
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(read->manifest, manifest);
-  EXPECT_EQ(read->cells, OwnedCells(manifest, partial));
+  EXPECT_EQ(store->ReadShard("token", 1, 3).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST_F(MatrixStoreTest, SparseShardCellCountMismatchIsParseError) {
@@ -429,10 +503,10 @@ TEST_F(MatrixStoreTest, FsyncPolicyRoundTripsUnderEveryPolicy) {
 
     Snapshot snapshot;
     snapshot.queries = {"SELECT a FROM t;"};
-    snapshot.entries = {{"token", 0, 1, 0.25}};
+    snapshot.triangles["token"] = Triangle{2, {0.25}};
     ASSERT_TRUE(store->WriteSnapshot(snapshot).ok());
     ASSERT_TRUE(store->AppendQuery(1, "SELECT b FROM t;").ok());
-    ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.5}}).ok());
+    ASSERT_TRUE(store->AppendRow("token", 1, Row{0.5}).ok());
 
     auto back = store->ReadSnapshot();
     ASSERT_TRUE(back.ok()) << back.status();

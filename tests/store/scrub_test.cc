@@ -4,16 +4,16 @@
 // Whatever a byte flip destroys, the repaired store serves a value-correct
 // SUBSET of the reference — recovered cells match the reference exactly,
 // lost cells are counted as quarantined, and unsalvageable damage (the
-// query-log core, v1 monoliths) leaves strict loads failing typed rather
-// than producing a wrong matrix. The flip-every-byte sweep proves that for
-// every possible single-byte corruption of a v2 snapshot.
+// query-log core) leaves strict loads failing typed rather than producing
+// a wrong matrix. The flip-every-byte sweep proves that for every possible
+// single-byte corruption of a v3 snapshot.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,19 +36,32 @@ void WriteBytes(const fs::path& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::tuple<std::string, uint32_t, uint32_t> CellKey(const CacheEntry& e) {
-  return {e.measure, std::min(e.i, e.j), std::max(e.i, e.j)};
+/// True if `got` is a prefix of `want`: whole rows, exact values.
+bool IsRowPrefix(const Triangle& got, const Triangle& want) {
+  return got.rows <= want.rows &&
+         got.cells.size() == TriangleCells(got.rows) &&
+         std::equal(got.cells.begin(), got.cells.end(), want.cells.begin());
 }
 
 Snapshot BaseSnapshot() {
   Snapshot snap;
   snap.queries = {"SELECT a FROM t0", "SELECT b FROM t1", "SELECT c FROM t2"};
-  snap.entries = {
-      CacheEntry{"token", 0, 1, 0.25},
-      CacheEntry{"token", 0, 2, 0.5},
-      CacheEntry{"token", 1, 2, 0.75},
-      CacheEntry{"structure", 0, 1, 0.125},
-  };
+  snap.triangles["token"] = Triangle{3, {0.25, 0.5, 0.75}};
+  snap.triangles["structure"] = Triangle{3, {0.125, 0.375, 0.625}};
+  return snap;
+}
+
+/// A snapshot whose token triangle spans several chunks.
+Snapshot LargeSnapshot(uint64_t rows) {
+  Snapshot snap;
+  for (uint64_t q = 0; q < rows; ++q) {
+    snap.queries.push_back("SELECT a FROM t" + std::to_string(q));
+  }
+  Triangle& token = snap.triangles["token"];
+  token.rows = rows;
+  for (uint64_t k = 0; k < TriangleCells(rows); ++k) {
+    token.cells.push_back(static_cast<double>(k) / 7.0);
+  }
   return snap;
 }
 
@@ -99,9 +112,6 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
   const std::string full = ReadAllBytes(snapshot_path);
   ASSERT_GT(full.size(), 16u);
 
-  std::map<std::tuple<std::string, uint32_t, uint32_t>, double> expect;
-  for (const CacheEntry& e : reference.entries) expect[CellKey(e)] = e.d;
-
   for (size_t flip = 0; flip < full.size(); ++flip) {
     std::string damaged = full;
     damaged[flip] = static_cast<char>(damaged[flip] ^ 0x5a);
@@ -115,7 +125,7 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
       auto strict = store->ReadSnapshot();
       if (strict.ok()) {
         EXPECT_EQ(strict->queries, reference.queries) << "flip " << flip;
-        EXPECT_EQ(strict->entries, reference.entries) << "flip " << flip;
+        EXPECT_EQ(strict->triangles, reference.triangles) << "flip " << flip;
       } else {
         EXPECT_EQ(strict.status().code(), StatusCode::kParseError)
             << "flip " << flip << ": " << strict.status();
@@ -137,13 +147,18 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
                                << repaired.status();
     // The query log is either fully intact or the file was unreadable.
     EXPECT_EQ(repaired->queries, reference.queries) << "flip " << flip;
-    // Every surviving cell carries its exact reference value.
-    for (const CacheEntry& e : repaired->entries) {
-      auto it = expect.find(CellKey(e));
-      ASSERT_NE(it, expect.end()) << "flip " << flip << ": invented cell";
-      EXPECT_EQ(e.d, it->second) << "flip " << flip;
+    // Every measure survives, and every surviving cell carries its exact
+    // reference value: damage only ever truncates a triangle.
+    ASSERT_EQ(repaired->triangles.size(), reference.triangles.size())
+        << "flip " << flip;
+    uint64_t lost = 0;
+    for (const auto& [name, want] : reference.triangles) {
+      auto it = repaired->triangles.find(name);
+      ASSERT_NE(it, repaired->triangles.end()) << "flip " << flip;
+      EXPECT_TRUE(IsRowPrefix(it->second, want)) << "flip " << flip;
+      lost += want.cells.size() - it->second.cells.size();
     }
-    if (repaired->entries.size() < reference.entries.size()) {
+    if (lost > 0) {
       EXPECT_GT(report->cells_quarantined, 0u) << "flip " << flip;
     }
     // A second scrub finds nothing left to repair.
@@ -155,10 +170,10 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
   WriteBytes(snapshot_path, full);
 }
 
-TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
-  // The small snapshot fits one entry chunk; a flip inside it quarantines
-  // every cell while the query-log core survives intact.
-  Snapshot snap = BaseSnapshot();
+TEST_F(ScrubTest, DamagedChunkTruncatesItsTriangleAndTheRestSurvives) {
+  // 200 rows = 19900 cells in five chunks. A flip in the third chunk keeps
+  // the rows wholly before it and quarantines every cell from there on.
+  const Snapshot snap = LargeSnapshot(200);
   {
     auto store = MatrixStore::Open(dir_);
     ASSERT_TRUE(store.ok());
@@ -166,8 +181,13 @@ TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
   }
   const fs::path path = fs::path(dir_) / "snapshot.dpe";
   std::string bytes = ReadAllBytes(path);
-  // Last byte sits inside the final entry chunk's payload.
-  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0xff);
+  // The chunks are the tail of the file: each is a 4-byte CRC plus up to
+  // kTriangleChunkCells cells. Step back over the last chunk (3516 cells)
+  // and the fourth (4096) into the middle of the third.
+  const size_t last = 4 + 8 * (TriangleCells(200) - 4 * kTriangleChunkCells);
+  const size_t full = 4 + 8 * kTriangleChunkCells;
+  const size_t flip = bytes.size() - last - full - full / 2;
+  bytes[flip] = static_cast<char>(bytes[flip] ^ 0xff);
   WriteBytes(path, bytes);
 
   auto store = MatrixStore::OpenExisting(dir_);
@@ -177,13 +197,60 @@ TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->snapshot_rewritten);
   EXPECT_FALSE(report->snapshot_unreadable);
+  EXPECT_EQ(report->snapshot_chunks_checked, 5u);
   EXPECT_EQ(report->snapshot_chunks_quarantined, 1u);
-  EXPECT_EQ(report->cells_quarantined, snap.entries.size());
 
   auto repaired = store->ReadSnapshot();
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_EQ(repaired->queries, snap.queries);
-  EXPECT_TRUE(repaired->entries.empty());  // the one chunk was quarantined
+  const Triangle& token = repaired->triangles.at("token");
+  // Rows wholly inside the first two chunks (8192 cells): T(128) = 8128.
+  EXPECT_EQ(token.rows, 128u);
+  EXPECT_TRUE(IsRowPrefix(token, snap.triangles.at("token")));
+  EXPECT_EQ(report->cells_quarantined,
+            TriangleCells(200) - TriangleCells(128));
+}
+
+TEST_F(ScrubTest, TruncationQuarantinesJournalRowsPastTheGap) {
+  // The journal extends the snapshot's 3 rows with rows 3 and 4. A damaged
+  // snapshot chunk truncates the triangle, so those rows no longer extend
+  // it: the scrub drops them too, and the strict read after it replays
+  // cleanly instead of meeting a gap.
+  {
+    auto store = MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+    ASSERT_TRUE(store->AppendQuery(3, "SELECT d FROM t3").ok());
+    ASSERT_TRUE(store->AppendRow("token", 3, std::vector<double>{1, 2, 3}).ok());
+    ASSERT_TRUE(
+        store->AppendRow("structure", 3, std::vector<double>{4, 5, 6}).ok());
+  }
+  const fs::path path = fs::path(dir_) / "snapshot.dpe";
+  std::string bytes = ReadAllBytes(path);
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0xff);
+  WriteBytes(path, bytes);  // the last chunk is token's only chunk
+
+  auto store = MatrixStore::OpenExisting(dir_);
+  ASSERT_TRUE(store.ok());
+  auto report = store->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status();
+  // token: its 3 snapshot cells plus the 3 of the orphaned journal row.
+  EXPECT_EQ(report->cells_quarantined, 6u);
+  EXPECT_EQ(report->journal_records_quarantined, 1u);
+
+  auto snapshot = store->ReadSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  auto journal = store->ReadJournal();
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  std::map<std::string, Triangle> triangles = snapshot->triangles;
+  for (const JournalRecord& record : *journal) {
+    if (record.kind == JournalRecord::Kind::kRowComputed) {
+      ASSERT_TRUE(ApplyRowRecord(record, &triangles).ok());
+    }
+  }
+  EXPECT_EQ(triangles.at("token").rows, 1u);
+  EXPECT_EQ(triangles.at("structure").rows, 4u);
+  EXPECT_EQ(triangles.at("structure").cells.back(), 6.0);
 }
 
 TEST_F(ScrubTest, CorruptManifestIsRebuiltFromTheHighestReadableGeneration) {
