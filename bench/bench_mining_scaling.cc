@@ -1,8 +1,10 @@
 // Mining-kernel scaling: serial vs N-thread k-medoids / DBSCAN /
-// complete-link / DB(p,D) outliers over one precomputed distance matrix.
-// Every parallel run is verified bit-identical to the serial reference
-// (labels, medoids, deviations, merges, outlier sets) before it is timed.
-// Emits BENCH_mining_scaling.json for the cross-PR perf trajectory.
+// DB(p,D) outliers over one precomputed distance matrix, plus the serial
+// complete-link run (it takes no pool). Every parallel run is verified
+// bit-identical to the serial reference (labels, medoids, deviations,
+// outlier sets) before it is timed, and the timed complete-link run must
+// reproduce the first run's merges. Emits BENCH_mining_scaling.json for
+// the cross-PR perf trajectory.
 //
 //   $ ./build/bench/bench_mining_scaling             # n = 192
 //   $ DPE_BENCH_N=96 ./build/bench/bench_mining_scaling
@@ -38,6 +40,18 @@ int Fatal(const char* what) {
   std::fprintf(stderr, "FATAL: parallel %s differs from serial reference\n",
                what);
   return 1;
+}
+
+bool SameMerges(const mining::Dendrogram& a, const mining::Dendrogram& b) {
+  if (a.merges.size() != b.merges.size()) return false;
+  for (size_t i = 0; i < a.merges.size(); ++i) {
+    if (a.merges[i].left != b.merges[i].left ||
+        a.merges[i].right != b.merges[i].right ||
+        a.merges[i].distance != b.merges[i].distance) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -99,7 +113,16 @@ int main(int argc, char** argv) {
                  {"outlier", 0.0}};
   rows[0].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::KMedoids(m, kopt)); });
   rows[1].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::Dbscan(m, dopt)); });
-  rows[2].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::CompleteLink(m)); });
+  mining::Dendrogram timed_hc;
+  rows[2].serial_ms = bench::TimeMs([&] {
+    auto hc = mining::CompleteLink(m);
+    DPE_BENCH_CHECK(hc);
+    timed_hc = std::move(*hc);
+  });
+  if (!SameMerges(timed_hc, *serial_hc)) {
+    std::fprintf(stderr, "FATAL: complete-link runs disagree\n");
+    return 1;
+  }
   rows[3].serial_ms =
       bench::TimeMs([&] { DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, oopt)); });
 
@@ -139,19 +162,6 @@ int main(int argc, char** argv) {
     }
     double db_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::Dbscan(m, dp)); });
 
-    auto hc = mining::CompleteLink(m, &pool);
-    DPE_BENCH_CHECK(hc);
-    if (hc->merges.size() != serial_hc->merges.size()) return Fatal("hierarchical");
-    for (size_t i = 0; i < hc->merges.size(); ++i) {
-      if (hc->merges[i].left != serial_hc->merges[i].left ||
-          hc->merges[i].right != serial_hc->merges[i].right ||
-          hc->merges[i].distance != serial_hc->merges[i].distance) {
-        return Fatal("hierarchical");
-      }
-    }
-    double hc_ms =
-        bench::TimeMs([&] { DPE_BENCH_CHECK(mining::CompleteLink(m, &pool)); });
-
     mining::OutlierOptions op = oopt;
     op.pool = &pool;
     auto out = mining::DistanceBasedOutliers(m, op);
@@ -163,8 +173,9 @@ int main(int argc, char** argv) {
     double out_ms = bench::TimeMs(
         [&] { DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, op)); });
 
-    const double ms[4] = {km_ms, db_ms, hc_ms, out_ms};
-    for (size_t r = 0; r < 4; ++r) {
+    // rows[2], complete link, takes no pool: it has only the serial row.
+    const double ms[4] = {km_ms, db_ms, 0.0, out_ms};
+    for (size_t r : {0, 1, 3}) {
       std::printf("%-14s %8zu %12.2f %8.2fx %10s\n", rows[r].miner, threads,
                   ms[r], rows[r].serial_ms / (ms[r] > 0 ? ms[r] : 1e-9),
                   "yes");

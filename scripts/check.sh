@@ -64,6 +64,13 @@ echo "== checkpoint gate: restore + incremental must beat a cold build =="
 (cd build && ./bench/bench_checkpoint --smoke > /dev/null)
 ls -l BENCH_checkpoint.json
 
+echo "== e2ebench oracle: ciphertext mining equals plaintext, end to end =="
+# Builds the repo benchmark (.bench_build/) and runs every workload at
+# smoke sizes: each op's ciphertext matrices, clusters and dendrograms must
+# equal the owner's plaintext ones merge for merge, and an injected
+# mismatch must be counted as a failed op rather than passed.
+python3 e2ebench/test_e2ebench.py
+
 echo "== example smoke: compaction + self-healing scrub round-trip =="
 # Compacts in the background, flips a snapshot byte, and exits non-zero
 # unless the strict load fails typed, scrub_on_load quarantines and

@@ -1,18 +1,16 @@
 #include "mining/hierarchical.h"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
-
-#include "common/simd.h"
-#include "mining/parallel_util.h"
+#include <string>
 
 namespace dpe::mining {
 
 Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
-                                common::ThreadPool* pool,
-                                common::simd::KernelBackend backend,
                                 obs::MetricsRegistry* metrics) {
   const size_t n = m.size();
   Dendrogram out;
@@ -20,88 +18,100 @@ Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
   if (metrics != nullptr) {
     metrics->counter("mining.hierarchical.runs").Increment();
   }
-  if (n == 0) return out;
-
-  // Active clusters: id -> member points (u32: matrix indices fit, and the
-  // SIMD gather kernel wants 32-bit indices). Fresh ids n, n+1, ... per
-  // merge.
-  std::map<size_t, std::vector<uint32_t>> clusters;
-  for (size_t i = 0; i < n; ++i) clusters[i] = {static_cast<uint32_t>(i)};
-
-  // Complete-link distance between two member lists: max pairwise distance.
-  // Per member of `a`, the max over `b`'s columns of the matrix row is the
-  // dispatched gather-max kernel (common/simd.h) — max over non-NaN doubles
-  // is exact and order-independent, so every backend (and parallel caller)
-  // gets the same double.
-  const common::simd::KernelTable& kernels = common::simd::KernelsFor(backend);
-  auto link = [&](const std::vector<uint32_t>& a,
-                  const std::vector<uint32_t>& b) {
-    double worst = 0.0;
-    for (uint32_t x : a) {
-      worst = std::max(worst, kernels.max_at(m.RowUnchecked(x), b.data(),
-                                             b.size()));
-    }
-    return worst;
-  };
-
-  struct Best {
-    double d = std::numeric_limits<double>::infinity();
-    size_t a = 0;
-    size_t b = 0;
-  };
-
-  size_t next_id = n;
-  std::vector<const std::vector<uint32_t>*> members;
-  std::vector<size_t> ids;
-  while (clusters.size() > 1) {
-    // Snapshot the active clusters in map (= ascending id) order; the scan
-    // over (ia, ib > ia) pairs below then visits pairs in the same
-    // lexicographic order as the serial nested-iterator loop.
-    ids.clear();
-    members.clear();
-    for (const auto& [id, pts] : clusters) {
-      ids.push_back(id);
-      members.push_back(&pts);
-    }
-    const size_t k = ids.size();
-
-    // Rows shrink as ia grows (k - ia - 1 inner pairs), so use a fine grain
-    // to keep chunks balanced — but floor it at 8 rows so tiny rounds do
-    // not dissolve into per-row scheduling overhead.
-    const size_t grain =
-        pool == nullptr ? k
-                        : std::max<size_t>(8, k / (8 * pool->thread_count()));
-    const size_t chunk_count = (k + grain - 1) / grain;
-    std::vector<Best> chunk_best(chunk_count);
-    MaybeParallelFor(pool, 0, k, grain, [&](size_t begin, size_t end) {
-      Best local;
-      for (size_t ia = begin; ia < end; ++ia) {
-        for (size_t ib = ia + 1; ib < k; ++ib) {
-          double d = link(*members[ia], *members[ib]);
-          if (d < local.d) {  // strict: first (smallest id pair) wins ties
-            local.d = d;
-            local.a = ids[ia];
-            local.b = ids[ib];
-          }
-        }
+  // A non-finite cell has no place in the merge order (+inf would leave no
+  // pair to merge; NaN would compare false everywhere), and matrices can
+  // come from untrusted bytes (snapshots, shard frames): reject them.
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = m.RowUnchecked(i);
+    for (size_t j = i + 1; j < n; ++j) {
+      if (!std::isfinite(row[j])) {
+        return Status::InvalidArgument(
+            "complete link: distance(" + std::to_string(i) + ", " +
+            std::to_string(j) + ") is not finite");
       }
-      chunk_best[begin / grain] = local;
-    });
-    // Ascending chunk order + strict < keeps the earliest chunk's minimum
-    // on ties — exactly the serial first-min selection.
-    Best best;
-    for (const Best& candidate : chunk_best) {
-      if (candidate.d < best.d) best = candidate;
     }
+  }
+  if (n < 2) return out;
 
-    std::vector<uint32_t> merged = clusters[best.a];
-    const auto& right = clusters[best.b];
-    merged.insert(merged.end(), right.begin(), right.end());
-    clusters.erase(best.a);
-    clusters.erase(best.b);
-    clusters[next_id] = std::move(merged);
-    out.merges.push_back({best.a, best.b, best.d});
-    ++next_id;
+  // Cluster-to-cluster links by slot, as a packed lower triangle: slot x > y
+  // holds d(x, y) at x(x-1)/2 + y. A leaf starts in the slot of its index;
+  // a merge reuses the slot of its left (smaller-id) cluster. The initial
+  // link is max(0, cell), the floor the member-list definition starts from.
+  std::vector<double> tri(n * (n - 1) / 2);
+  for (size_t x = 1; x < n; ++x) {
+    const double* row = m.RowUnchecked(x);
+    double* dst = tri.data() + x * (x - 1) / 2;
+    for (size_t y = 0; y < x; ++y) dst[y] = std::max(0.0, row[y]);
+  }
+  auto link = [&tri](size_t x, size_t y) -> double& {
+    if (x < y) std::swap(x, y);
+    return tri[x * (x - 1) / 2 + y];
+  };
+
+  // Active slots in ascending cluster-id order. A merged cluster takes id
+  // n + step, the largest, so it always moves to the back.
+  std::vector<size_t> active(n);
+  std::iota(active.begin(), active.end(), 0);
+  std::vector<size_t> id(n);
+  std::iota(id.begin(), id.end(), 0);
+
+  // nn[c]: the first cluster after c in `active` at c's minimum link among
+  // the clusters after it; nn_dist[c] that link (inf for the last one).
+  // Scanning with strict < keeps the first minimum, so the first active
+  // cluster with the smallest nn_dist, paired with its nn, is the
+  // lexicographically smallest closest pair.
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  std::vector<size_t> nn(n, 0);
+  std::vector<double> nn_dist(n, kNone);
+  auto rescan = [&](size_t pos) {
+    const size_t c = active[pos];
+    nn_dist[c] = kNone;
+    for (size_t q = pos + 1; q < active.size(); ++q) {
+      const double d = link(c, active[q]);
+      if (d < nn_dist[c]) {
+        nn_dist[c] = d;
+        nn[c] = active[q];
+      }
+    }
+  };
+  for (size_t pos = 0; pos + 1 < n; ++pos) rescan(pos);
+
+  out.merges.reserve(n - 1);
+  for (size_t step = 0; step + 1 < n; ++step) {
+    size_t a = active[0];
+    for (size_t pos = 1; pos + 1 < active.size(); ++pos) {
+      if (nn_dist[active[pos]] < nn_dist[a]) a = active[pos];
+    }
+    const size_t b = nn[a];
+    out.merges.push_back({id[a], id[b], nn_dist[a]});
+
+    // Slot a becomes the merged cluster: its links are the max of a's and
+    // b's (the complete-link Lance–Williams update). Drop a and b from the
+    // active order and append the merged cluster last.
+    size_t kept = 0;
+    for (size_t c : active) {
+      if (c == a || c == b) continue;
+      double& merged = link(a, c);
+      merged = std::max(merged, link(b, c));
+      active[kept++] = c;
+    }
+    active.resize(kept);
+    active.push_back(a);
+    id[a] = n + step;
+    nn_dist[a] = kNone;
+
+    // A cluster whose neighbour was a or b lost it: rescan its row. Any
+    // other keeps its neighbour unless the merged cluster, which sorts
+    // last and so loses ties, is strictly closer.
+    for (size_t pos = 0; pos < kept; ++pos) {
+      const size_t c = active[pos];
+      if (nn[c] == a || nn[c] == b) {
+        rescan(pos);
+      } else if (link(c, a) < nn_dist[c]) {
+        nn_dist[c] = link(c, a);
+        nn[c] = a;
+      }
+    }
   }
   if (metrics != nullptr) {
     metrics->counter("mining.hierarchical.merge_rounds")

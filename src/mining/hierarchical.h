@@ -1,20 +1,20 @@
 // Agglomerative hierarchical clustering with the complete-link criterion
-// (Defays 1977, [3] in the paper). Deterministic merge order (ties break to
-// the lexicographically smallest cluster pair).
+// (Defays 1977, [3] in the paper). Deterministic merge order: each round
+// merges the closest pair of active clusters, and ties break to the
+// lexicographically smallest (left id, right id) pair.
 //
-// With a thread pool, each round's min-pair search — the dominant O(k²·link)
-// scan over active cluster pairs — is chunked over the pool; every chunk
-// keeps the first minimum in its own scan order and the chunk results are
-// merged in ascending chunk order with strict <, reproducing exactly the
-// serial "first smallest pair wins ties" selection. The dendrogram is
-// therefore bit-identical for every thread count.
+// The cluster-to-cluster distances live in one packed triangle indexed by
+// slot (Anderberg's cached-distance algorithm; the "generic" algorithm of
+// Müllner, arXiv 1109.2378). Merging a and b reuses a's slot and writes one
+// row of max(d(a,c), d(b,c)) — the Lance–Williams update for complete link,
+// exact in floating point. A per-cluster nearest-later-neighbour cache
+// turns each round's minimum search into an O(k) scan, so a typical run
+// costs O(n²) time and n(n-1)/2 doubles of memory.
 
 #ifndef DPE_MINING_HIERARCHICAL_H_
 #define DPE_MINING_HIERARCHICAL_H_
 
-#include "common/simd.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "distance/matrix.h"
 #include "mining/partition.h"
 #include "obs/metrics.h"
@@ -37,16 +37,13 @@ struct Dendrogram {
   Result<Labels> CutK(size_t k) const;
 };
 
-/// Builds the complete-link dendrogram from a distance matrix; the min-pair
-/// search runs on `pool` when one is given (nullptr = serial, bit-identical).
-/// `backend` selects the SIMD kernel for the gather-max linkage scoring
-/// (kAuto = env + CPU detection; Engine::RunHierarchical passes its
-/// EngineOptions::kernel_backend). Every backend is bit-identical.
-/// `metrics` (optional) records mining.hierarchical.{runs,merge_rounds}.
-Result<Dendrogram> CompleteLink(
-    const distance::DistanceMatrix& matrix, common::ThreadPool* pool = nullptr,
-    common::simd::KernelBackend backend = common::simd::KernelBackend::kAuto,
-    obs::MetricsRegistry* metrics = nullptr);
+/// Builds the complete-link dendrogram from a distance matrix. The link of
+/// two clusters is the largest distance between their members, floored at
+/// 0 (negative cells act as 0). InvalidArgument if any cell is NaN or
+/// infinite. `metrics` (optional) records
+/// mining.hierarchical.{runs,merge_rounds}.
+Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& matrix,
+                                obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace dpe::mining
 

@@ -333,6 +333,11 @@ class Parser {
 }  // namespace
 
 Result<SelectQuery> Parse(std::string_view text) {
+  if (text.size() > kMaxQueryBytes) {
+    return Status::ParseError("query of " + std::to_string(text.size()) +
+                              " bytes exceeds the " +
+                              std::to_string(kMaxQueryBytes) + "-byte limit");
+  }
   DPE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
   Parser parser(std::move(tokens));
   return parser.ParseSelect();

@@ -16,6 +16,12 @@ namespace dpe::sql {
 /// is re-parsed on every restore) cannot recurse the parser off the stack.
 inline constexpr size_t kMaxPredicateDepth = 256;
 
+/// Longest text Parse accepts, in bytes. Longer input is a ParseError
+/// before any token is produced, so hostile text cannot make the lexer
+/// allocate without bound. The workload generators' queries, encrypted
+/// ones included, stay under 1 KiB.
+inline constexpr size_t kMaxQueryBytes = size_t{1} << 20;
+
 /// Parses one SELECT statement; the whole input must be consumed.
 Result<SelectQuery> Parse(std::string_view text);
 

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "distance/token_distance.h"
@@ -453,6 +454,28 @@ TEST_F(ShardCorruptionTest, ByteFlippedShardFileIsParseError) {
   auto merged = Merge();
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(ShardCorruptionTest, InfiniteCellInAFrameFailsMiningTyped) {
+  // A well-formed frame (valid CRC) can still carry a non-finite distance.
+  // The merge installs it as the memo; complete link must then fail typed,
+  // not crash on a pair it can never merge.
+  RunValidShards();
+  {
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    auto shard = store->ReadShard("token", 0, kShards);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    ASSERT_FALSE(shard->cells.empty());
+    shard->cells[0] = std::numeric_limits<double>::infinity();
+    ASSERT_TRUE(store->WriteShardCells(shard->manifest, shard->cells).ok());
+  }
+  Engine engine(s_->Context());
+  engine.SetLog(s_->log);
+  ASSERT_TRUE(engine.MergeShards("token", kShards, dir_).ok());
+  auto dendrogram = engine.RunHierarchical("token");
+  ASSERT_FALSE(dendrogram.ok());
+  EXPECT_EQ(dendrogram.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ShardCorruptionTest, WorkerRejectsForeignPlanAndBadIndex) {

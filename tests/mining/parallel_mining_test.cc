@@ -1,7 +1,7 @@
 // Bit-identity of the parallel mining kernels: every miner run with a
 // thread pool of {1, 2, 4, 8} workers must produce exactly the result of
 // its serial reference (pool == nullptr) — labels, medoids, FP deviations,
-// merge distances, outlier sets — on odd sizes (uneven chunking) and on
+// outlier sets — on odd sizes (uneven chunking) and on
 // tie-heavy matrices (quantized distances), where nondeterministic
 // reductions or tie-breaks would show first.
 
@@ -11,7 +11,6 @@
 
 #include "common/thread_pool.h"
 #include "mining/dbscan.h"
-#include "mining/hierarchical.h"
 #include "mining/kmedoids.h"
 #include "mining/outlier.h"
 
@@ -79,24 +78,6 @@ void ExpectDbscanIdentical(const distance::DistanceMatrix& m) {
   }
 }
 
-void ExpectHierarchicalIdentical(const distance::DistanceMatrix& m) {
-  auto serial = CompleteLink(m).value();
-  for (size_t threads : kThreadCounts) {
-    common::ThreadPool pool(threads);
-    auto parallel = CompleteLink(m, &pool).value();
-    ASSERT_EQ(parallel.merges.size(), serial.merges.size())
-        << threads << " threads";
-    for (size_t i = 0; i < serial.merges.size(); ++i) {
-      EXPECT_EQ(parallel.merges[i].left, serial.merges[i].left)
-          << threads << " threads, merge " << i;
-      EXPECT_EQ(parallel.merges[i].right, serial.merges[i].right)
-          << threads << " threads, merge " << i;
-      EXPECT_EQ(parallel.merges[i].distance, serial.merges[i].distance)
-          << threads << " threads, merge " << i;
-    }
-  }
-}
-
 void ExpectOutliersIdentical(const distance::DistanceMatrix& m) {
   OutlierOptions serial_opt;
   serial_opt.p = 0.7;
@@ -124,12 +105,6 @@ TEST(ParallelMiningTest, DbscanBitIdenticalAcrossThreadCounts) {
   ExpectDbscanIdentical(SmoothMatrix(9, 6));
 }
 
-TEST(ParallelMiningTest, HierarchicalBitIdenticalAcrossThreadCounts) {
-  ExpectHierarchicalIdentical(TieHeavyMatrix(25, 7));
-  ExpectHierarchicalIdentical(SmoothMatrix(31, 8));
-  ExpectHierarchicalIdentical(SmoothMatrix(7, 9));
-}
-
 TEST(ParallelMiningTest, OutliersBitIdenticalAcrossThreadCounts) {
   ExpectOutliersIdentical(TieHeavyMatrix(37, 10));
   ExpectOutliersIdentical(SmoothMatrix(41, 11));
@@ -154,8 +129,6 @@ TEST(ParallelMiningTest, DegenerateSizes) {
     DbscanOptions dserial;
     EXPECT_EQ(Dbscan(m, dopt).value().labels,
               Dbscan(m, dserial).value().labels);
-    EXPECT_EQ(CompleteLink(m, &pool).value().merges.size(),
-              CompleteLink(m).value().merges.size());
     OutlierOptions oopt;
     oopt.pool = &pool;
     OutlierOptions oserial;

@@ -197,6 +197,25 @@ TEST(ParserTest, NotChainsCountTowardTheDepthLimit) {
             StatusCode::kParseError);
 }
 
+TEST(ParserTest, QueryAtTheSizeLimitParses) {
+  std::string text = "SELECT a FROM r WHERE a = 1";
+  text.resize(kMaxQueryBytes, ' ');
+  auto q = Parse(text);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->items.size(), 1u);
+}
+
+TEST(ParserTest, QueryOneBytePastTheSizeLimitIsParseError) {
+  std::string text = "SELECT a FROM r WHERE a = 1";
+  text.resize(kMaxQueryBytes + 1, ' ');
+  auto q = Parse(text);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  // Rejected on its length, before the lexer sees a byte.
+  EXPECT_NE(q.status().message().find("limit"), std::string::npos)
+      << q.status();
+}
+
 TEST(ParserTest, DestroyingADeepPredicateTreeDoesNotRecurse) {
   // Built directly (the parser caps depth; callers building trees do not):
   // a million-level NOT chain must tear down without a stack overflow.

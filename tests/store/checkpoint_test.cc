@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "engine/engine.h"
+#include "sql/parser.h"
 #include "sql/printer.h"
 #include "store/matrix_store.h"
 #include "tests/scenario_test_util.h"
@@ -309,6 +310,31 @@ TEST_F(CheckpointTest, DeeplyNestedJournaledQueryFailsTheLoadTyped) {
   Engine engine(s.Context());
   engine.SetLog({s.log.begin(), s.log.begin() + 2});
   EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
+  EXPECT_EQ(engine.log_size(), 2u);
+  EXPECT_FALSE(engine.checkpoint_attached());
+}
+
+TEST_F(CheckpointTest, OversizeJournaledQueryFailsTheLoadTyped) {
+  // A CRC-valid journaled query one byte longer than the parser accepts
+  // must fail the load with ParseError and leave the engine as it was.
+  workload::Scenario s = Shop(34, 4);
+  {
+    Engine engine(s.Context());
+    engine.SetLog(s.log);
+    ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
+  }
+  {
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    std::string oversize = "SELECT a FROM t WHERE a = 1";
+    oversize.resize(sql::kMaxQueryBytes + 1, ' ');
+    ASSERT_TRUE(store->AppendQuery(4, oversize).ok());
+  }
+  Engine engine(s.Context());
+  engine.SetLog({s.log.begin(), s.log.begin() + 2});
+  const Status load = engine.LoadCheckpoint(dir_);
+  EXPECT_EQ(load.code(), StatusCode::kParseError) << load;
+  EXPECT_NE(load.message().find("limit"), std::string::npos) << load;
   EXPECT_EQ(engine.log_size(), 2u);
   EXPECT_FALSE(engine.checkpoint_attached());
 }
