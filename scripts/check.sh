@@ -140,12 +140,16 @@ wait "$SERVE_PID" 2>/dev/null || true
 cat observability_out/serve_log.txt
 ls -l observability_out/scraped_metrics.prom observability_out/healthz.json
 
-echo "== sanitizers: asan+ubsan on engine/distance/store tests =="
+echo "== sanitizers: asan+ubsan on engine/distance/store/crypto/cryptdb/core tests =="
+# crypto/cryptdb/core cover the owner's encryption path: keyed HMAC
+# contexts, the OPE image memo and the per-purpose keyrings.
 cmake -B build-asan -S . -DDPE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j"$JOBS" \
-      --target dpe_engine_tests dpe_distance_tests dpe_store_tests
-ctest --test-dir build-asan --output-on-failure -R '^(engine|distance|store)$'
+      --target dpe_engine_tests dpe_distance_tests dpe_store_tests \
+      dpe_crypto_tests dpe_cryptdb_tests dpe_core_tests
+ctest --test-dir build-asan --output-on-failure \
+      -R '^(engine|distance|store|crypto|cryptdb|core)$'
 
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:
@@ -161,6 +165,11 @@ cmake --build build-tsan -j"$JOBS" \
       --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
+# The OPE image memo and the keyring's lazy per-purpose maps: threads
+# encrypting overlapping plaintexts through one shared instance.
+cmake --build build-tsan -j"$JOBS" --target dpe_crypto_tests
+(cd build-tsan && ./dpe_crypto_tests \
+      --gtest_filter='OpeConcurrencyTest.*:KeyringConcurrencyTest.*')
 # Log-sink registry: concurrent emitters vs. sink swaps (the regression
 # tests for the delivery/state lock split in obs/log.cc).
 cmake --build build-tsan -j"$JOBS" --target dpe_obs_tests

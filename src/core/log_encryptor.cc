@@ -319,11 +319,12 @@ Result<LogEncryptor> LogEncryptor::Create(
     const db::DomainRegistry& domains, const Options& options) {
   LogEncryptor enc;
   enc.spec_ = spec;
-  enc.keys_ = &keys;
+  enc.keyring_ = std::make_shared<crypto::Keyring>(
+      keys, crypto::BoldyrevaOpe::Options{
+                .domain_bits = 64, .range_bits = options.ope_range_bits});
   enc.plain_db_ = &plain_db;
   enc.log_ = &log;
   enc.domains_ = &domains;
-  enc.options_ = options;
 
   for (const std::string& rel : plain_db.TableNames()) {
     DPE_ASSIGN_OR_RETURN(const db::Table* t, plain_db.GetTable(rel));
@@ -363,7 +364,7 @@ Result<LogEncryptor> LogEncryptor::Create(
 namespace {
 
 Result<std::string> EncryptNameWithClass(PpeClass cls,
-                                         const crypto::KeyManager& keys,
+                                         const crypto::Keyring& keyring,
                                          const std::string& purpose,
                                          const std::string& name,
                                          crypto::Csprng* prob_rng) {
@@ -371,15 +372,15 @@ Result<std::string> EncryptNameWithClass(PpeClass cls,
     case PpeClass::kIdentity:
       return name;
     case PpeClass::kDet: {
-      DPE_ASSIGN_OR_RETURN(crypto::DetEncryptor det,
-                           crypto::DetEncryptor::Create(keys.Derive(purpose)));
-      return "e" + HexEncode(det.EncryptConst(name));
+      DPE_ASSIGN_OR_RETURN(const crypto::DetEncryptor* det,
+                           keyring.Det(purpose));
+      return "e" + HexEncode(det->EncryptConst(name));
     }
     case PpeClass::kProb: {
       DPE_ASSIGN_OR_RETURN(
           crypto::ProbEncryptor prob,
           crypto::ProbEncryptor::Create(
-              keys.Derive(purpose),
+              keyring.Key(purpose),
               crypto::Csprng::FromSeed(prob_rng->NextBytes(32))));
       return "p" + HexEncode(prob.Encrypt(name));
     }
@@ -392,12 +393,12 @@ Result<std::string> EncryptNameWithClass(PpeClass cls,
 }  // namespace
 
 Result<std::string> LogEncryptor::EncryptRelName(const std::string& name) const {
-  return EncryptNameWithClass(spec_.enc_rel, *keys_, "name/rel", name,
+  return EncryptNameWithClass(spec_.enc_rel, *keyring_, "name/rel", name,
                               &*prob_rng_);
 }
 
 Result<std::string> LogEncryptor::EncryptAttrName(const std::string& name) const {
-  return EncryptNameWithClass(spec_.enc_attr, *keys_, "name/attr", name,
+  return EncryptNameWithClass(spec_.enc_attr, *keyring_, "name/attr", name,
                               &*prob_rng_);
 }
 
@@ -432,7 +433,7 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
       // image (see DESIGN.md, token fine point). Still class DET: keyed,
       // deterministic, injective up to PRF collisions.
       if (spec_.global_const_key) {
-        const Bytes prf_key = keys_->Derive(purpose);
+        const crypto::HmacSha256Key& prf_key = keyring_->Prf(purpose);
         if (literal.kind() == Literal::Kind::kInt) {
           uint64_t img =
               crypto::PrfU64(prf_key, "int-det", literal.CanonicalBytes());
@@ -446,10 +447,10 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
               static_cast<double>(img >> 11) * 0x1.0p-53);
         }
       }
-      DPE_ASSIGN_OR_RETURN(crypto::DetEncryptor det,
-                           crypto::DetEncryptor::Create(keys_->Derive(purpose)));
-      return Literal::String("e" +
-                             HexEncode(det.EncryptConst(literal.CanonicalBytes())));
+      DPE_ASSIGN_OR_RETURN(const crypto::DetEncryptor* det,
+                           keyring_->Det(purpose));
+      return Literal::String(
+          "e" + HexEncode(det->EncryptConst(literal.CanonicalBytes())));
     }
     case PpeClass::kOpe: {
       if (spec_.const_mode == ConstMode::kCryptDb) {
@@ -461,14 +462,9 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
       }
       DPE_ASSIGN_OR_RETURN(uint64_t u, cryptdb::OrderPreservingU64(
                                            db::Value::FromLiteral(literal)));
-      crypto::BoldyrevaOpe::Options ope_options;
-      ope_options.domain_bits = 64;
-      ope_options.range_bits = options_.ope_range_bits;
-      DPE_ASSIGN_OR_RETURN(
-          crypto::BoldyrevaOpe ope,
-          crypto::BoldyrevaOpe::Create(keys_->Derive("const-ope/" + column_key),
-                                       ope_options));
-      return Literal::String("o" + ope.EncryptToHex(u));
+      DPE_ASSIGN_OR_RETURN(const crypto::BoldyrevaOpe* ope,
+                           keyring_->Ope("const-ope/" + column_key));
+      return Literal::String("o" + ope->EncryptToHex(u));
     }
     default:
       return Status::InvalidArgument(
@@ -507,7 +503,7 @@ Result<Literal> LogEncryptor::EncryptConstantForQuery(const ColumnRef& c,
       DPE_ASSIGN_OR_RETURN(
           crypto::ProbEncryptor prob,
           crypto::ProbEncryptor::Create(
-              keys_->Derive("const/" + key),
+              keyring_->Key("const/" + key),
               crypto::Csprng::FromSeed(prob_rng_->NextBytes(32))));
       return Literal::String("p" + HexEncode(prob.Encrypt(coerced.CanonicalBytes())));
     }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cryptdb/encrypted_db.h"
+#include "crypto/keyring.h"
 #include "crypto/keys.h"
 #include "crypto/ope.h"
 #include "crypto/scheme.h"
@@ -154,11 +155,11 @@ class LogEncryptor {
   Result<sql::ColumnRef> EncryptColumnRef(const sql::ColumnRef& c) const;
 
   SchemeSpec spec_;
-  const crypto::KeyManager* keys_ = nullptr;
+  /// Name, constant and PRF encryptors, each derived and keyed once.
+  std::shared_ptr<crypto::Keyring> keyring_;
   const db::Database* plain_db_ = nullptr;
   const std::vector<sql::SelectQuery>* log_ = nullptr;
   const db::DomainRegistry* domains_ = nullptr;
-  Options options_;
 
   cryptdb::SchemaMap schemas_;
   /// Per-attribute constant class (derived from the log for composite modes).

@@ -36,9 +36,10 @@ Result<Value> ValueFromOrderPreservingU64(uint64_t u, db::ColumnType type) {
 OnionCrypto::OnionCrypto(const crypto::KeyManager& keys, OnionLayout layout,
                          const Options& options, crypto::Csprng rng,
                          Paillier::KeyPair paillier)
-    : keys_(&keys),
+    : keyring_(std::make_unique<crypto::Keyring>(
+          keys, crypto::BoldyrevaOpe::Options{
+                    .domain_bits = 64, .range_bits = options.ope_range_bits})),
       layout_(std::move(layout)),
-      options_(options),
       rng_(std::move(rng)),
       paillier_(std::move(paillier)) {}
 
@@ -67,72 +68,65 @@ Result<Bytes> IdentifierDecode(const std::string& enc_name) {
 
 }  // namespace
 
+const DetEncryptor& OnionCrypto::NameEncryptor(std::string_view purpose) const {
+  return *keyring_->Det(purpose).value();  // a 32-byte derived key never fails
+}
+
 std::string OnionCrypto::EncryptRelName(const std::string& name) const {
-  auto enc = DetEncryptor::Create(keys_->Derive("name/rel"));
-  return IdentifierEncode(enc->EncryptConst(name));
+  return IdentifierEncode(NameEncryptor("name/rel").EncryptConst(name));
 }
 
 std::string OnionCrypto::EncryptAttrName(const std::string& name) const {
-  auto enc = DetEncryptor::Create(keys_->Derive("name/attr"));
-  return IdentifierEncode(enc->EncryptConst(name));
+  return IdentifierEncode(NameEncryptor("name/attr").EncryptConst(name));
 }
 
 Result<std::string> OnionCrypto::DecryptRelName(
     const std::string& enc_name) const {
   DPE_ASSIGN_OR_RETURN(Bytes ct, IdentifierDecode(enc_name));
-  auto enc = DetEncryptor::Create(keys_->Derive("name/rel"));
-  DPE_ASSIGN_OR_RETURN(Bytes pt, enc->Decrypt(ct));
+  DPE_ASSIGN_OR_RETURN(Bytes pt, NameEncryptor("name/rel").Decrypt(ct));
   return std::string(pt);
 }
 
 Result<std::string> OnionCrypto::DecryptAttrName(
     const std::string& enc_name) const {
   DPE_ASSIGN_OR_RETURN(Bytes ct, IdentifierDecode(enc_name));
-  auto enc = DetEncryptor::Create(keys_->Derive("name/attr"));
-  DPE_ASSIGN_OR_RETURN(Bytes pt, enc->Decrypt(ct));
+  DPE_ASSIGN_OR_RETURN(Bytes pt, NameEncryptor("name/attr").Decrypt(ct));
   return std::string(pt);
 }
 
-Result<DetEncryptor> OnionCrypto::EqEncryptorFor(
+Result<const DetEncryptor*> OnionCrypto::EqEncryptorFor(
     const std::string& column_key) const {
-  if (layout_.shared_value_keys) {
-    return DetEncryptor::Create(keys_->Derive("onion/@shared/eq"));
-  }
+  if (layout_.shared_value_keys) return keyring_->Det("onion/@shared/eq");
   auto group = layout_.join_group_of.find(column_key);
-  Bytes key = group != layout_.join_group_of.end()
-                  ? keys_->Derive("onion/join-group/" + group->second + "/eq")
-                  : keys_->Derive("onion/" + column_key + "/eq");
-  return DetEncryptor::Create(key);
+  return keyring_->Det(group != layout_.join_group_of.end()
+                           ? "onion/join-group/" + group->second + "/eq"
+                           : "onion/" + column_key + "/eq");
 }
 
-Result<BoldyrevaOpe> OnionCrypto::OrdEncryptorFor(
+Result<const BoldyrevaOpe*> OnionCrypto::OrdEncryptorFor(
     const std::string& column_key) const {
-  BoldyrevaOpe::Options opts;
-  opts.domain_bits = 64;
-  opts.range_bits = options_.ope_range_bits;
-  const std::string purpose = layout_.shared_value_keys
-                                  ? "onion/@shared/ord"
-                                  : "onion/" + column_key + "/ord";
-  return BoldyrevaOpe::Create(keys_->Derive(purpose), opts);
+  return keyring_->Ope(layout_.shared_value_keys
+                           ? "onion/@shared/ord"
+                           : "onion/" + column_key + "/ord");
 }
 
 Result<Value> OnionCrypto::EncryptEq(const std::string& column_key,
                                      const Value& v) const {
   if (v.is_null()) return Value::Null();
-  DPE_ASSIGN_OR_RETURN(DetEncryptor enc, EqEncryptorFor(column_key));
-  return Value::String("e" + HexEncode(enc.EncryptConst(v.KeyBytes())));
+  DPE_ASSIGN_OR_RETURN(const DetEncryptor* enc, EqEncryptorFor(column_key));
+  return Value::String("e" + HexEncode(enc->EncryptConst(v.KeyBytes())));
 }
 
 Result<Value> OnionCrypto::EncryptOrd(const std::string& column_key,
                                       const Value& v) const {
   if (v.is_null()) return Value::Null();
   DPE_ASSIGN_OR_RETURN(uint64_t u, OrderPreservingU64(v));
-  DPE_ASSIGN_OR_RETURN(BoldyrevaOpe ope, OrdEncryptorFor(column_key));
+  DPE_ASSIGN_OR_RETURN(const BoldyrevaOpe* ope, OrdEncryptorFor(column_key));
   // Type tag ('i'/'d') keeps int and double images disjoint even under a
   // shared ORD key; within a (homogeneously typed) column it is constant,
   // so string order still equals numeric order.
   const char type_tag = v.is_int() ? 'i' : 'd';
-  return Value::String(std::string("o") + type_tag + ope.EncryptToHex(u));
+  return Value::String(std::string("o") + type_tag + ope->EncryptToHex(u));
 }
 
 Result<Value> OnionCrypto::EncryptAdd(const std::string& column_key,
@@ -153,8 +147,9 @@ Result<Value> OnionCrypto::EncryptRnd(const std::string& column_key,
   if (v.is_null()) return Value::Null();
   DPE_ASSIGN_OR_RETURN(
       crypto::ProbEncryptor enc,
-      crypto::ProbEncryptor::Create(keys_->Derive("onion/" + column_key + "/rnd"),
-                                    crypto::Csprng::FromSeed(rng_.NextBytes(32))));
+      crypto::ProbEncryptor::Create(
+          keyring_->Key("onion/" + column_key + "/rnd"),
+          crypto::Csprng::FromSeed(rng_.NextBytes(32))));
   return Value::String("p" + HexEncode(enc.Encrypt(v.KeyBytes())));
 }
 
@@ -170,8 +165,8 @@ Result<Value> OnionCrypto::DecryptCell(const std::string& column_key,
   switch (s[0]) {
     case 'e': {
       DPE_ASSIGN_OR_RETURN(Bytes ct, HexDecode(hex));
-      DPE_ASSIGN_OR_RETURN(DetEncryptor enc, EqEncryptorFor(column_key));
-      DPE_ASSIGN_OR_RETURN(Bytes pt, enc.Decrypt(ct));
+      DPE_ASSIGN_OR_RETURN(const DetEncryptor* enc, EqEncryptorFor(column_key));
+      DPE_ASSIGN_OR_RETURN(Bytes pt, enc->Decrypt(ct));
       DPE_ASSIGN_OR_RETURN(sql::Literal lit, sql::Literal::FromCanonicalBytes(pt));
       return Value::FromLiteral(lit);
     }
@@ -183,8 +178,9 @@ Result<Value> OnionCrypto::DecryptCell(const std::string& column_key,
           hex[0] == 'i' ? db::ColumnType::kInt : db::ColumnType::kDouble;
       (void)type;  // the self-describing tag wins over the schema hint
       DPE_ASSIGN_OR_RETURN(Bytes ct, HexDecode(hex.substr(1)));
-      DPE_ASSIGN_OR_RETURN(BoldyrevaOpe ope, OrdEncryptorFor(column_key));
-      DPE_ASSIGN_OR_RETURN(uint64_t u, ope.Decrypt(Bigint::FromBytes(ct)));
+      DPE_ASSIGN_OR_RETURN(const BoldyrevaOpe* ope,
+                           OrdEncryptorFor(column_key));
+      DPE_ASSIGN_OR_RETURN(uint64_t u, ope->Decrypt(Bigint::FromBytes(ct)));
       return ValueFromOrderPreservingU64(u, cell_type);
     }
     case 'h': {
@@ -196,7 +192,7 @@ Result<Value> OnionCrypto::DecryptCell(const std::string& column_key,
       DPE_ASSIGN_OR_RETURN(
           crypto::ProbEncryptor enc,
           crypto::ProbEncryptor::Create(
-              keys_->Derive("onion/" + column_key + "/rnd"),
+              keyring_->Key("onion/" + column_key + "/rnd"),
               crypto::Csprng::FromSeed("decrypt-unused")));
       DPE_ASSIGN_OR_RETURN(Bytes pt, enc.Decrypt(ct));
       DPE_ASSIGN_OR_RETURN(sql::Literal lit, sql::Literal::FromCanonicalBytes(pt));

@@ -22,6 +22,7 @@
 
 #include "crypto/csprng.h"
 #include "crypto/det.h"
+#include "crypto/keyring.h"
 #include "crypto/keys.h"
 #include "crypto/ope.h"
 #include "crypto/paillier.h"
@@ -69,7 +70,8 @@ inline constexpr char kAddSuffix[] = "__add";
 inline constexpr char kRndSuffix[] = "__rnd";
 
 /// Owner-side cryptographic material: name encryptors, per-column onion
-/// encryptors, and the database-wide Paillier key pair.
+/// encryptors, and the database-wide Paillier key pair. Every encryptor is
+/// derived and keyed once per key purpose (crypto::Keyring) and reused.
 class OnionCrypto {
  public:
   struct Options {
@@ -127,12 +129,14 @@ class OnionCrypto {
               const Options& options, crypto::Csprng rng,
               crypto::Paillier::KeyPair paillier);
 
-  Result<crypto::DetEncryptor> EqEncryptorFor(const std::string& column_key) const;
-  Result<crypto::BoldyrevaOpe> OrdEncryptorFor(const std::string& column_key) const;
+  const crypto::DetEncryptor& NameEncryptor(std::string_view purpose) const;
+  Result<const crypto::DetEncryptor*> EqEncryptorFor(
+      const std::string& column_key) const;
+  Result<const crypto::BoldyrevaOpe*> OrdEncryptorFor(
+      const std::string& column_key) const;
 
-  const crypto::KeyManager* keys_;
+  std::unique_ptr<crypto::Keyring> keyring_;
   OnionLayout layout_;
-  Options options_;
   mutable crypto::Csprng rng_;
   crypto::Paillier::KeyPair paillier_;
 };

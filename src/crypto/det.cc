@@ -1,6 +1,5 @@
 #include "crypto/det.h"
 
-#include "crypto/hmac.h"
 #include "crypto/instrument.h"
 
 namespace dpe::crypto {
@@ -9,9 +8,8 @@ Result<DetEncryptor> DetEncryptor::Create(std::string_view key) {
   if (key.size() != 32) {
     return Status::CryptoError("DetEncryptor requires a 32-byte key");
   }
-  Bytes mac_key(key.substr(0, 16));
   DPE_ASSIGN_OR_RETURN(Aes aes, Aes::Create(key.substr(16, 16)));
-  return DetEncryptor(std::move(mac_key), std::move(aes));
+  return DetEncryptor(HmacSha256Key(key.substr(0, 16)), std::move(aes));
 }
 
 Bytes DetEncryptor::EncryptConst(std::string_view plaintext) const {

@@ -9,6 +9,7 @@
 #define DPE_CRYPTO_DET_H_
 
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "crypto/scheme.h"
 
 namespace dpe::crypto {
@@ -27,10 +28,10 @@ class DetEncryptor final : public ValueEncryptor {
   PpeClass ppe_class() const override { return PpeClass::kDet; }
 
  private:
-  DetEncryptor(Bytes mac_key, Aes aes)
+  DetEncryptor(HmacSha256Key mac_key, Aes aes)
       : mac_key_(std::move(mac_key)), aes_(std::move(aes)) {}
 
-  Bytes mac_key_;
+  HmacSha256Key mac_key_;
   Aes aes_;
 };
 

@@ -1,7 +1,7 @@
 #include "crypto/hkdf.h"
 
-#include "crypto/hmac.h"
-#include "crypto/sha256.h"
+#include <algorithm>
+#include <string>
 
 namespace dpe::crypto {
 
@@ -11,24 +11,33 @@ Bytes HkdfExtract(std::string_view salt, std::string_view ikm) {
   return HmacSha256(effective_salt, ikm);
 }
 
-Bytes HkdfExpand(std::string_view prk, std::string_view info, size_t length) {
+Result<Bytes> HkdfExpand(const HmacSha256Key& prk, std::string_view info,
+                         size_t length) {
+  // The block counter is one byte: past 255 blocks it would wrap and the
+  // output would stop being RFC 5869's.
+  if (length > kHkdfMaxLength) {
+    return Status::InvalidArgument("HKDF-Expand length " +
+                                   std::to_string(length) + " exceeds " +
+                                   std::to_string(kHkdfMaxLength) + " bytes");
+  }
   Bytes out;
   out.reserve(length);
   Bytes t;
-  unsigned char counter = 1;
-  while (out.size() < length) {
-    Bytes msg = t;
-    msg.append(info);
-    msg.push_back(static_cast<char>(counter));
-    t = HmacSha256(prk, msg);
+  for (unsigned char counter = 1; out.size() < length; ++counter) {
+    const std::string_view block_index(reinterpret_cast<char*>(&counter), 1);
+    t = prk.Mac({t, info, block_index});
     out.append(t, 0, std::min(t.size(), length - out.size()));
-    ++counter;
   }
   return out;
 }
 
-Bytes Hkdf(std::string_view ikm, std::string_view salt, std::string_view info,
-           size_t length) {
+Result<Bytes> HkdfExpand(std::string_view prk, std::string_view info,
+                         size_t length) {
+  return HkdfExpand(HmacSha256Key(prk), info, length);
+}
+
+Result<Bytes> Hkdf(std::string_view ikm, std::string_view salt,
+                   std::string_view info, size_t length) {
   return HkdfExpand(HkdfExtract(salt, ikm), info, length);
 }
 

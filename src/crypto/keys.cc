@@ -12,10 +12,10 @@ KeyManager::KeyManager(std::string_view master_key)
     : prk_(HkdfExtract(kSalt, master_key)) {}
 
 Bytes KeyManager::Derive(std::string_view purpose) const {
-  return DeriveN(purpose, 32);
+  return DeriveN(purpose, 32).value();  // 32 bytes is always within bound
 }
 
-Bytes KeyManager::DeriveN(std::string_view purpose, size_t n) const {
+Result<Bytes> KeyManager::DeriveN(std::string_view purpose, size_t n) const {
   return HkdfExpand(prk_, purpose, n);
 }
 

@@ -12,6 +12,8 @@
 #include <string_view>
 
 #include "common/hex.h"
+#include "common/status.h"
+#include "crypto/hmac.h"
 
 namespace dpe::crypto {
 
@@ -23,15 +25,16 @@ class KeyManager {
   /// Derives a 32-byte subkey for `purpose`.
   Bytes Derive(std::string_view purpose) const;
 
-  /// Derives `n` bytes for `purpose`.
-  Bytes DeriveN(std::string_view purpose, size_t n) const;
+  /// Derives `n` bytes for `purpose`; InvalidArgument past HKDF's
+  /// 255 * 32-byte output bound.
+  Result<Bytes> DeriveN(std::string_view purpose, size_t n) const;
 
   /// Deterministic manager from a human-secret (PBKDF-lite: salted HKDF).
   /// Fine for experiments; use real PBKDF2/argon2 for production passwords.
   static KeyManager FromPassword(std::string_view password);
 
  private:
-  Bytes prk_;  // HKDF PRK
+  HmacSha256Key prk_;  // HKDF PRK, keyed once
 };
 
 }  // namespace dpe::crypto

@@ -9,19 +9,6 @@ namespace dpe::crypto {
 
 namespace {
 
-/// Deterministic uniform-ish sample in [lo, hi] (inclusive), coins from
-/// PRF(key, label, input). Uses reduction mod span: the residual bias is
-/// irrelevant for order preservation (any deterministic choice in the
-/// feasible window yields a valid monotone scheme).
-Bigint SampleInRange(std::string_view key, std::string_view label,
-                     std::string_view input, const Bigint& lo,
-                     const Bigint& hi) {
-  Bigint span = hi - lo + Bigint(1);
-  size_t nbytes = (span.BitLength() + 7) / 8 + 8;  // 64 extra bits vs span
-  Bytes coins = PrfExpand(key, label, input, nbytes);
-  return lo + (Bigint::FromBytes(coins) % span);
-}
-
 Bytes NodeId(const Bigint& dlo, const Bigint& dhi, const Bigint& rlo,
              const Bigint& rhi) {
   Bytes id;
@@ -46,8 +33,30 @@ Bigint Max(const Bigint& a, const Bigint& b) { return a < b ? b : a; }
 
 }  // namespace
 
-BoldyrevaOpe::BoldyrevaOpe(Bytes key, const Options& options)
-    : key_(std::move(key)), options_(options) {}
+BoldyrevaOpe::ImageMemo& BoldyrevaOpe::ImageMemo::operator=(
+    const ImageMemo& other) {
+  // The images belong to the old key: never keep them, never take other's.
+  if (this != &other) {
+    MutexLock lock(mu_);
+    images_.clear();
+  }
+  return *this;
+}
+
+std::optional<Bigint> BoldyrevaOpe::ImageMemo::Find(uint64_t x) {
+  MutexLock lock(mu_);
+  auto it = images_.find(x);
+  if (it == images_.end()) return std::nullopt;
+  return it->second;
+}
+
+void BoldyrevaOpe::ImageMemo::Insert(uint64_t x, const Bigint& image) {
+  MutexLock lock(mu_);
+  images_.emplace(x, image);
+}
+
+BoldyrevaOpe::BoldyrevaOpe(std::string_view key, const Options& options)
+    : key_(key), options_(options) {}
 
 Result<BoldyrevaOpe> BoldyrevaOpe::Create(std::string_view key) {
   return Create(key, Options{});
@@ -65,7 +74,19 @@ Result<BoldyrevaOpe> BoldyrevaOpe::Create(std::string_view key,
     return Status::InvalidArgument(
         "range_bits must exceed domain_bits (and be <= 256)");
   }
-  return BoldyrevaOpe(Bytes(key), options);
+  return BoldyrevaOpe(key, options);
+}
+
+Bigint BoldyrevaOpe::SampleInRange(std::string_view label,
+                                   std::string_view input, const Bigint& lo,
+                                   const Bigint& hi) const {
+  // Reduction mod span: the residual bias is irrelevant for order
+  // preservation (any deterministic choice in the feasible window yields a
+  // valid monotone scheme).
+  Bigint span = hi - lo + Bigint(1);
+  size_t nbytes = (span.BitLength() + 7) / 8 + 8;  // 64 extra bits vs span
+  Bytes coins = PrfExpand(key_, label, input, nbytes);
+  return lo + (Bigint::FromBytes(coins) % span);
 }
 
 Bigint BoldyrevaOpe::SampleSplit(const Bigint& dlo, const Bigint& dhi,
@@ -79,11 +100,18 @@ Bigint BoldyrevaOpe::SampleSplit(const Bigint& dlo, const Bigint& dhi,
   // half: ml <= NL (left stays injective) and M - ml <= NR (right too).
   Bigint lo = Max(Bigint(0), m - nr);
   Bigint hi = Min(m, nl);
-  return SampleInRange(key_, "ope-split", NodeId(dlo, dhi, rlo, rhi), lo, hi);
+  return SampleInRange("ope-split", NodeId(dlo, dhi, rlo, rhi), lo, hi);
 }
 
 Bigint BoldyrevaOpe::Encrypt(uint64_t x) const {
-  DPE_CRYPTO_COUNT("ope", "encrypt");
+  DPE_CRYPTO_COUNT("ope", "encrypt");  // memo hits count too
+  if (std::optional<Bigint> image = memo_.Find(x)) return *std::move(image);
+  Bigint image = Descend(x);
+  memo_.Insert(x, image);
+  return image;
+}
+
+Bigint BoldyrevaOpe::Descend(uint64_t x) const {
   CryptoSpan span("crypto.ope.encrypt");
   Bigint dlo(0);
   Bigint dhi = Pow2(options_.domain_bits) - Bigint(1);
@@ -94,8 +122,7 @@ Bigint BoldyrevaOpe::Encrypt(uint64_t x) const {
   for (;;) {
     if (dlo == dhi) {
       // Leaf: a deterministic point in the remaining range.
-      return SampleInRange(key_, "ope-leaf", NodeId(dlo, dhi, rlo, rhi), rlo,
-                           rhi);
+      return SampleInRange("ope-leaf", NodeId(dlo, dhi, rlo, rhi), rlo, rhi);
     }
     Bigint n = rhi - rlo + Bigint(1);
     Bigint nl = (n + Bigint(1)) / Bigint(2);
@@ -126,7 +153,7 @@ Result<uint64_t> BoldyrevaOpe::Decrypt(const Bigint& ciphertext) const {
   for (;;) {
     if (dlo == dhi) {
       Bigint expected =
-          SampleInRange(key_, "ope-leaf", NodeId(dlo, dhi, rlo, rhi), rlo, rhi);
+          SampleInRange("ope-leaf", NodeId(dlo, dhi, rlo, rhi), rlo, rhi);
       if (expected != ciphertext) {
         return Status::CryptoError("OPE ciphertext was not produced by Encrypt");
       }
@@ -167,7 +194,7 @@ Result<DictionaryOpe> DictionaryOpe::Create(std::string_view key) {
   if (key.size() != 32) {
     return Status::CryptoError("DictionaryOpe requires a 32-byte key");
   }
-  return DictionaryOpe(Bytes(key));
+  return DictionaryOpe(key);
 }
 
 Status DictionaryOpe::BuildFromDomain(std::vector<Bytes> domain) {

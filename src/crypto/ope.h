@@ -19,14 +19,25 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
 #include "crypto/bigint.h"
+#include "crypto/hmac.h"
 #include "crypto/scheme.h"
 
 namespace dpe::crypto {
 
 /// Stateless OPE on the uint64 domain with a `range_bits`-wide range.
+///
+/// Encrypt is a pure function of (key, x), so each instance memoizes the
+/// images it has computed: a repeated plaintext costs one hash lookup
+/// instead of a tree descent with one PRF call per level. The memo is
+/// internally locked (Encrypt is const and may be called from several
+/// threads), grows with the distinct plaintexts encrypted, and is not
+/// copied: a copy or an assigned-to instance starts with an empty one.
 class BoldyrevaOpe {
  public:
   struct Options {
@@ -41,7 +52,7 @@ class BoldyrevaOpe {
   static Result<BoldyrevaOpe> Create(std::string_view key,
                                      const Options& options);
 
-  /// Deterministic, strictly monotone encryption of `x`.
+  /// Deterministic, strictly monotone encryption of `x`. Memoized.
   Bigint Encrypt(uint64_t x) const;
 
   /// Inverts Encrypt; fails for values not produced by Encrypt.
@@ -58,7 +69,30 @@ class BoldyrevaOpe {
   const Options& options() const { return options_; }
 
  private:
-  BoldyrevaOpe(Bytes key, const Options& options);
+  /// Plaintext -> ciphertext images computed so far.
+  class ImageMemo {
+   public:
+    ImageMemo() = default;
+    ImageMemo(const ImageMemo&) {}
+    ImageMemo& operator=(const ImageMemo& other);
+
+    std::optional<Bigint> Find(uint64_t x);
+    void Insert(uint64_t x, const Bigint& image);
+
+   private:
+    Mutex mu_;
+    std::unordered_map<uint64_t, Bigint> images_ GUARDED_BY(mu_);
+  };
+
+  BoldyrevaOpe(std::string_view key, const Options& options);
+
+  /// The tree descent Encrypt memoizes.
+  Bigint Descend(uint64_t x) const;
+
+  /// Deterministic uniform-ish sample in [lo, hi] (inclusive), coins from
+  /// PRF(key, label, input).
+  Bigint SampleInRange(std::string_view label, std::string_view input,
+                       const Bigint& lo, const Bigint& hi) const;
 
   /// Samples the number of domain points assigned to the left half of the
   /// current range node, uniformly from the feasible window, with coins
@@ -66,8 +100,9 @@ class BoldyrevaOpe {
   Bigint SampleSplit(const Bigint& dlo, const Bigint& dhi, const Bigint& rlo,
                      const Bigint& rhi) const;
 
-  Bytes key_;
+  HmacSha256Key key_;
   Options options_;
+  mutable ImageMemo memo_;
 };
 
 /// Stateful, exactly order-preserving dictionary ("code book") OPE.
@@ -95,11 +130,11 @@ class DictionaryOpe {
   size_t size() const { return code_.size(); }
 
  private:
-  explicit DictionaryOpe(Bytes key) : key_(std::move(key)) {}
+  explicit DictionaryOpe(std::string_view key) : key_(key) {}
 
   static constexpr uint64_t kGap = 1ULL << 20;
 
-  Bytes key_;
+  HmacSha256Key key_;
   std::map<Bytes, uint64_t> code_;
   std::map<uint64_t, Bytes> reverse_;
 };

@@ -28,6 +28,20 @@ Status DistanceMatrix::Set(size_t i, size_t j, double d) {
   return Status::OK();
 }
 
+Status DistanceMatrix::CheckFiniteRows(size_t begin_row,
+                                       size_t end_row) const {
+  for (size_t i = begin_row; i < end_row && i < n_; ++i) {
+    const double* row = RowUnchecked(i);
+    for (size_t j = 0; j < n_; ++j) {
+      if (!std::isfinite(row[j])) {
+        return Status::InvalidArgument("distance(" + std::to_string(i) + ", " +
+                                       std::to_string(j) + ") is not finite");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
                                                 const DistanceMatrix& b) {
   if (a.size() != b.size()) {

@@ -53,6 +53,14 @@ class DistanceMatrix {
   /// Bounds-checked symmetric write.
   Status Set(size_t i, size_t j, double d);
 
+  /// InvalidArgument naming the first NaN or ±inf cell of rows
+  /// [begin_row, end_row). The miners call it before anything else: their
+  /// comparisons, sorts and merge orders are undefined on such cells, and
+  /// matrices can come from untrusted bytes (snapshots, shard frames).
+  Status CheckFiniteRows(size_t begin_row, size_t end_row) const;
+  /// CheckFiniteRows over every row.
+  Status CheckFinite() const { return CheckFiniteRows(0, n_); }
+
   /// Max |a - b| over all cells; matrices must have equal size.
   static Result<double> MaxAbsDifference(const DistanceMatrix& a,
                                          const DistanceMatrix& b);

@@ -11,6 +11,7 @@ Result<DbscanResult> Dbscan(const distance::DistanceMatrix& m,
   if (options.epsilon < 0) {
     return Status::InvalidArgument("epsilon must be >= 0");
   }
+  DPE_RETURN_NOT_OK(m.CheckFinite());
   const size_t n = m.size();
   DbscanResult result;
   result.labels.assign(n, -1);

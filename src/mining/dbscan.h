@@ -35,6 +35,7 @@ struct DbscanResult {
   size_t cluster_count = 0;
 };
 
+/// InvalidArgument if any cell is NaN or infinite.
 Result<DbscanResult> Dbscan(const distance::DistanceMatrix& matrix,
                             const DbscanOptions& options);
 

@@ -1,12 +1,10 @@
 #include "mining/hierarchical.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
-#include <string>
 
 namespace dpe::mining {
 
@@ -19,18 +17,8 @@ Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
     metrics->counter("mining.hierarchical.runs").Increment();
   }
   // A non-finite cell has no place in the merge order (+inf would leave no
-  // pair to merge; NaN would compare false everywhere), and matrices can
-  // come from untrusted bytes (snapshots, shard frames): reject them.
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = m.RowUnchecked(i);
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!std::isfinite(row[j])) {
-        return Status::InvalidArgument(
-            "complete link: distance(" + std::to_string(i) + ", " +
-            std::to_string(j) + ") is not finite");
-      }
-    }
-  }
+  // pair to merge; NaN would compare false everywhere).
+  DPE_RETURN_NOT_OK(m.CheckFinite());
   if (n < 2) return out;
 
   // Cluster-to-cluster links by slot, as a packed lower triangle: slot x > y

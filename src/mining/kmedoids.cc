@@ -14,6 +14,7 @@ Result<KMedoidsResult> KMedoids(const distance::DistanceMatrix& m,
   if (options.k == 0 || options.k > n) {
     return Status::InvalidArgument("k must be in [1, n]");
   }
+  DPE_RETURN_NOT_OK(m.CheckFinite());  // the medoid sorts need an order
   common::ThreadPool* pool = options.pool;
   const size_t grain = MiningGrain(n, pool);
 

@@ -37,6 +37,7 @@ struct KMedoidsResult {
 };
 
 /// Runs Park-Jun k-medoids on a precomputed distance matrix.
+/// InvalidArgument if any cell is NaN or infinite.
 Result<KMedoidsResult> KMedoids(const distance::DistanceMatrix& matrix,
                                 const KMedoidsOptions& options);
 

@@ -15,6 +15,9 @@ Result<std::vector<size_t>> NearestNeighbors(
   const size_t n = m.size();
   if (i >= n) return Status::OutOfRange("point index out of range");
   if (k >= n) return Status::InvalidArgument("k must be < n");
+  // Row i is all the selection reads; the stable sort below is undefined on
+  // NaN-poisoned comparisons.
+  DPE_RETURN_NOT_OK(m.CheckFiniteRows(i, i + 1));
   // Snapshot row i once: the selection below then reads a flat array
   // instead of doing 2-4 matrix accesses per comparison.
   std::vector<double> row(n);

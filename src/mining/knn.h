@@ -15,6 +15,7 @@ namespace dpe::mining {
 /// (distance, index). `backend` selects the SIMD kernel of the small-k
 /// argmin selection (kAuto = env + CPU detection; Engine::RunOutlierKnn
 /// passes its EngineOptions::kernel_backend) — bit-identical everywhere.
+/// InvalidArgument if a cell of row `i` is NaN or infinite.
 Result<std::vector<size_t>> NearestNeighbors(
     const distance::DistanceMatrix& m, size_t i, size_t k,
     common::simd::KernelBackend backend = common::simd::KernelBackend::kAuto);

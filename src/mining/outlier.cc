@@ -9,6 +9,7 @@ Result<OutlierResult> DistanceBasedOutliers(const distance::DistanceMatrix& m,
   if (options.p <= 0.0 || options.p > 1.0) {
     return Status::InvalidArgument("p must be in (0, 1]");
   }
+  DPE_RETURN_NOT_OK(m.CheckFinite());
   const size_t n = m.size();
   OutlierResult result;
   result.is_outlier.assign(n, false);

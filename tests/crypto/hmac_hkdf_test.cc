@@ -33,6 +33,30 @@ TEST(HmacTest, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(HmacTest, KeyedObjectMatchesOneShotAndIsReusable) {
+  for (size_t key_len : {0u, 4u, 20u, 64u, 65u, 131u}) {
+    const Bytes key(key_len, '\x5a');
+    const HmacSha256Key keyed(key);
+    for (const Bytes& msg : {Bytes(), Bytes("Hi There"), Bytes(200, '\xdd')}) {
+      EXPECT_EQ(keyed.Mac(msg), HmacSha256(key, msg)) << key_len;
+      EXPECT_EQ(keyed.Mac(msg), HmacSha256(key, msg)) << "second use";
+    }
+  }
+}
+
+TEST(HmacTest, KeyedPartsAreConcatenated) {
+  const HmacSha256Key key("Jefe");
+  EXPECT_EQ(HexEncode(key.Mac({"what do ya ", "", "want for nothing?"})),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+TEST(PrfTest, KeyedOverloadsMatchRawKey) {
+  const HmacSha256Key keyed("k");
+  EXPECT_EQ(Prf(keyed, "l", "x"), Prf("k", "l", "x"));
+  EXPECT_EQ(PrfExpand(keyed, "l", "x", 77), PrfExpand("k", "l", "x", 77));
+  EXPECT_EQ(PrfU64(keyed, "l", "x"), PrfU64("k", "l", "x"));
+}
+
 TEST(PrfTest, DomainSeparationByLabel) {
   EXPECT_NE(Prf("k", "label-a", "input"), Prf("k", "label-b", "input"));
   EXPECT_NE(Prf("k", "a", "bc"), Prf("k", "ab", "c"));  // separator matters
@@ -62,7 +86,7 @@ TEST(HkdfTest, Rfc5869Case1) {
   Bytes prk = HkdfExtract(salt, ikm);
   EXPECT_EQ(HexEncode(prk),
             "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
-  Bytes okm = HkdfExpand(prk, info, 42);
+  Bytes okm = HkdfExpand(prk, info, 42).value();
   EXPECT_EQ(HexEncode(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
@@ -70,17 +94,39 @@ TEST(HkdfTest, Rfc5869Case1) {
 
 TEST(HkdfTest, Rfc5869Case3EmptySaltInfo) {
   Bytes ikm(22, '\x0b');
-  Bytes okm = Hkdf(ikm, "", "", 42);
+  Bytes okm = Hkdf(ikm, "", "", 42).value();
   EXPECT_EQ(HexEncode(okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
             "9d201395faa4b61a96c8");
 }
 
 TEST(HkdfTest, DistinctInfosYieldIndependentKeys) {
-  Bytes a = Hkdf("master", "salt", "purpose-a", 32);
-  Bytes b = Hkdf("master", "salt", "purpose-b", 32);
+  Bytes a = Hkdf("master", "salt", "purpose-a", 32).value();
+  Bytes b = Hkdf("master", "salt", "purpose-b", 32).value();
   EXPECT_NE(a, b);
   EXPECT_EQ(a.size(), 32u);
+}
+
+// RFC 5869 caps the output at 255 blocks: the one-byte block counter must
+// not wrap into non-standard output.
+TEST(HkdfTest, OutputBoundIs255Blocks) {
+  const Bytes prk = HkdfExtract("salt", "ikm");
+  auto max = HkdfExpand(prk, "info", 8160);
+  ASSERT_TRUE(max.ok()) << max.status();
+  ASSERT_EQ(max->size(), 8160u);
+  // T(i) = HMAC(PRK, T(i-1) || info || i), written out independently.
+  Bytes expected;
+  Bytes t;
+  for (int i = 1; i <= 255; ++i) {
+    t = HmacSha256(prk, t + "info" + static_cast<char>(i));
+    expected += t;
+  }
+  EXPECT_EQ(*max, expected);
+
+  auto over = HkdfExpand(prk, "info", 8161);
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Hkdf("ikm", "salt", "info", 8161).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -25,8 +25,18 @@ TEST(KeyManagerTest, MastersAreIndependent) {
 
 TEST(KeyManagerTest, DeriveN) {
   KeyManager keys("master");
-  EXPECT_EQ(keys.DeriveN("p", 64).size(), 64u);
-  EXPECT_EQ(keys.DeriveN("p", 64).substr(0, 32), keys.Derive("p"));
+  EXPECT_EQ(keys.DeriveN("p", 64).value().size(), 64u);
+  EXPECT_EQ(keys.DeriveN("p", 64).value().substr(0, 32), keys.Derive("p"));
+}
+
+TEST(KeyManagerTest, DeriveNPastTheHkdfBoundIsInvalidArgument) {
+  KeyManager keys("master");
+  auto max = keys.DeriveN("p", 8160);
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->size(), 8160u);
+  EXPECT_EQ(max->substr(0, 32), keys.Derive("p"));
+  EXPECT_EQ(keys.DeriveN("p", 8161).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(KeyManagerTest, FromPasswordDeterministic) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "crypto/csprng.h"
 #include "crypto/keys.h"
 
@@ -119,6 +122,34 @@ TEST_F(OpeTest, FullDomainBitsWork) {
   }
 }
 
+// Pinned ciphertexts: the tree descent, its PRF coins and the hex framing
+// must not drift, whatever is done to make them cheaper.
+TEST_F(OpeTest, GoldenHexVectors) {
+  struct Vector {
+    int range_bits;
+    uint64_t x;
+    const char* hex;
+  };
+  const Vector kVectors[] = {
+      {80, 0, "000000000001a76edd0a"},
+      {80, 42, "00000000020883bcc24d"},
+      {80, ~0ULL, "fffffffffffffbf6969f"},
+      {96, 0, "0000000000878f2c7aa1663b"},
+      {96, 1ULL << 40, "0000ba0aa5cf7d1c4bb738be"},
+      {96, (1ULL << 63) + 7, "1dcf06123796d58a16f71657"},
+      {128, 1, "00000000011baa4acdf0f0e92be41728"},
+      {128, 123456789, "00001dc6c0a36027db4dc96dd4f1d27c"},
+      {128, ~0ULL - 1, "fffffffffff6aff5250d813f7a47cef8"},
+  };
+  for (const Vector& v : kVectors) {
+    BoldyrevaOpe::Options opts;
+    opts.range_bits = v.range_bits;
+    auto ope =
+        BoldyrevaOpe::Create(KeyManager("ope-golden").Derive("k"), opts).value();
+    EXPECT_EQ(ope.EncryptToHex(v.x), v.hex) << v.range_bits << " " << v.x;
+  }
+}
+
 TEST_F(OpeTest, RejectsBadOptions) {
   KeyManager keys("ope-test");
   BoldyrevaOpe::Options bad;
@@ -129,6 +160,73 @@ TEST_F(OpeTest, RejectsBadOptions) {
   bad.range_bits = 32;
   EXPECT_FALSE(BoldyrevaOpe::Create(keys.Derive("k"), bad).ok());
   EXPECT_FALSE(BoldyrevaOpe::Create("short-key").ok());
+}
+
+// Encrypt memoizes images per instance; a memo hit must be exactly the
+// image the tree descent produces.
+TEST_F(OpeTest, MemoHitsEqualFreshDescents) {
+  BoldyrevaOpe ope = SmallOpe();
+  const Bigint first = ope.Encrypt(777);
+  for (uint64_t x = 0; x < 50; ++x) ope.Encrypt(x * 131);
+  EXPECT_EQ(ope.Encrypt(777), first);              // hit after other misses
+  const BoldyrevaOpe copy = ope;                   // a copy starts empty
+  EXPECT_EQ(copy.Encrypt(777), first);
+  EXPECT_EQ(SmallOpe().Encrypt(777), first);       // so does a fresh instance
+  EXPECT_EQ(SmallOpe().EncryptToHex(777), ope.EncryptToHex(777));
+}
+
+TEST_F(OpeTest, DecryptRoundTripsMemoHits) {
+  BoldyrevaOpe ope = SmallOpe();
+  for (uint64_t x : {0ULL, 9ULL, 4242ULL, 65535ULL}) {
+    ope.Encrypt(x);                                // miss, fills the memo
+    EXPECT_EQ(ope.Decrypt(ope.Encrypt(x)).value(), x);  // hit
+  }
+}
+
+TEST_F(OpeTest, AssignmentDropsTheOldKeysImages) {
+  BoldyrevaOpe::Options opts;
+  opts.domain_bits = 16;
+  opts.range_bits = 32;
+  KeyManager keys("ope-test");
+  BoldyrevaOpe ope = BoldyrevaOpe::Create(keys.Derive("a"), opts).value();
+  const Bigint under_a = ope.Encrypt(5);
+  const BoldyrevaOpe other = BoldyrevaOpe::Create(keys.Derive("b"), opts).value();
+  ope = other;
+  EXPECT_NE(ope.Encrypt(5), under_a);
+  EXPECT_EQ(ope.Encrypt(5), other.Encrypt(5));
+}
+
+// Four threads encrypt overlapping plaintexts through one instance (and so
+// one memo); every image must equal the serial result.
+TEST(OpeConcurrencyTest, SharedInstanceAgreesWithSerial) {
+  BoldyrevaOpe::Options opts;
+  opts.range_bits = 80;
+  const Bytes key = KeyManager("ope-concurrency").Derive("k");
+  std::vector<std::string> serial;
+  {
+    const BoldyrevaOpe ope = BoldyrevaOpe::Create(key, opts).value();
+    for (uint64_t x = 0; x < 64; ++x) serial.push_back(ope.EncryptToHex(x * 97));
+  }
+  const BoldyrevaOpe shared = BoldyrevaOpe::Create(key, opts).value();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::string>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different offset and wraps around, so the
+      // threads race on the same plaintexts from different directions.
+      for (uint64_t i = 0; i < 64; ++i) {
+        const uint64_t x = (i + 16 * t) % 64;
+        seen[t].push_back(shared.EncryptToHex(x * 97));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(seen[t][i], serial[(i + 16 * t) % 64]) << t << " " << i;
+    }
+  }
 }
 
 TEST(DictionaryOpeTest, BuildAndEncryptPreservesOrder) {

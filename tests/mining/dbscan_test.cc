@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dpe::mining {
 namespace {
 
@@ -91,6 +93,18 @@ TEST(DbscanTest, EmptyMatrix) {
   auto r = Dbscan(distance::DistanceMatrix(0), DbscanOptions{}).value();
   EXPECT_EQ(r.cluster_count, 0u);
   EXPECT_TRUE(r.labels.empty());
+}
+
+TEST(DbscanTest, NonFiniteCellIsInvalidArgument) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    distance::DistanceMatrix m = BlobsWithNoise();
+    m.set(2, 6, bad);
+    EXPECT_EQ(Dbscan(m, DbscanOptions{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dpe::mining {
 namespace {
 
@@ -76,6 +78,21 @@ TEST(KMedoidsTest, IdenticalMatricesGiveIdenticalClusterings) {
   KMedoidsOptions opt;
   opt.k = 3;
   EXPECT_EQ(KMedoids(a, opt).value().labels, KMedoids(b, opt).value().labels);
+}
+
+TEST(KMedoidsTest, NonFiniteCellIsInvalidArgument) {
+  // The medoid selection sorts on these cells; NaN or ±inf would make that
+  // comparison order undefined.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    distance::DistanceMatrix m = TwoBlobs();
+    m.set(1, 4, bad);
+    KMedoidsOptions opt;
+    opt.k = 2;
+    EXPECT_EQ(KMedoids(m, opt).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mining/knn.h"
 #include "mining/outlier.h"
 
@@ -84,6 +86,36 @@ TEST(KnnTest, MajorityVoteClassification) {
 TEST(KnnTest, LabelsSizeValidated) {
   auto m = OneOutlier();
   EXPECT_FALSE(KnnClassify(m, {0, 1}, 0, 2).ok());
+}
+
+TEST(OutlierTest, NonFiniteCellIsInvalidArgument) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    distance::DistanceMatrix m = OneOutlier();
+    m.set(0, 5, bad);
+    EXPECT_EQ(DistanceBasedOutliers(m, OutlierOptions{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(KnnTest, NonFiniteCellInTheRowIsInvalidArgument) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    distance::DistanceMatrix m = OneOutlier();
+    m.set(0, 5, bad);
+    // Both selection paths: k rounds of argmin (4k < n) and the stable sort.
+    EXPECT_EQ(NearestNeighbors(m, 0, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(NearestNeighbors(m, 5, 4).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    // Row 1 holds no bad cell: its neighbours are still well defined.
+    EXPECT_TRUE(NearestNeighbors(m, 1, 4).ok()) << bad;
+  }
 }
 
 }  // namespace
