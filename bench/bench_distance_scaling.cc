@@ -1,13 +1,16 @@
 // Experiment P3 — provider-side cost: full pairwise distance-matrix
 // computation over the encrypted artifacts vs the owner-side plaintext
-// computation, as the log grows. Also measures the feature-precompute
-// pipeline: the featurized single-thread build (O(n·lex + n²·merge)) vs the
-// legacy per-pair re-lexing path (O(n²·lex)), verified bit-identical.
+// computation, as the log grows. Also splits a build of each Table-I
+// measure into its two stages — Prepare (featurize, execute or extract
+// once per query) and the rows through the prepared log (per cell) —
+// verified bit-identical to DistanceMatrix::Compute.
 // Emits BENCH_distance_scaling.json.
 //
 //   $ ./build/bench/bench_distance_scaling           # full sweep, n up to 256
 //   $ ./build/bench/bench_distance_scaling --smoke   # CI: tiny sizes only
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -24,44 +27,63 @@ int main(int argc, char** argv) {
   }
   bench::JsonReport report("distance_scaling");
 
-  std::printf("== P3a: feature pipeline, per-pair re-lexing vs precompute ==\n\n");
-  std::printf("(serial 1-thread builds; legacy = DistanceMatrix::Compute,\n"
-              " featurized = MatrixBuilder precompute + merge kernels)\n\n");
-  std::printf("%-12s %6s %12s %14s %8s %10s\n", "measure", "n", "legacy ms",
-              "featurized ms", "speedup", "max|delta|");
-  {
-    engine::MatrixBuilder serial_builder(nullptr);
-    for (size_t n : smoke ? std::vector<size_t>{64}
-                          : std::vector<size_t>{64, 128, 256}) {
-      workload::Scenario s = bench::MakeShop(42, 60, n);
-      distance::MeasureContext ctx = s.Context();
-      for (MeasureKind kind :
-           {MeasureKind::kToken, MeasureKind::kStructure}) {
-        auto measure = MakeMeasure(kind);
-        auto legacy = distance::DistanceMatrix::Compute(s.log, *measure, ctx);
-        DPE_BENCH_CHECK(legacy);
-        auto featurized = serial_builder.Build(s.log, *measure, ctx);
-        DPE_BENCH_CHECK(featurized);
-        auto delta =
-            distance::DistanceMatrix::MaxAbsDifference(*legacy, *featurized);
-        DPE_BENCH_CHECK(delta);
-        if (*delta != 0.0) {
-          std::fprintf(stderr,
-                       "FATAL: featurized build differs from legacy path\n");
-          return 1;
+  std::printf("== P3a: prepared logs, prepare vs rows ==\n\n");
+  std::printf("(serial, 1 thread, plaintext; prepare = a fresh measure's\n"
+              " Prepare over the log incl. featurization, rows = every\n"
+              " lower-triangle cell through the prepared log)\n\n");
+  std::printf("%-12s %6s %11s %9s %13s %10s\n", "measure", "n", "prepare ms",
+              "rows ms", "rows ns/cell", "max|delta|");
+  for (size_t n : smoke ? std::vector<size_t>{64}
+                        : std::vector<size_t>{64, 128, 256}) {
+    workload::Scenario s = bench::MakeShop(42, 60, n);
+    distance::MeasureContext ctx = s.Context();
+    const std::vector<const sql::SelectQuery*> list =
+        distance::QueryList(s.log);
+    const double cells = static_cast<double>(n) * (n - 1) / 2;
+    for (MeasureKind kind : {MeasureKind::kToken, MeasureKind::kStructure,
+                             MeasureKind::kResult, MeasureKind::kAccessArea}) {
+      auto measure = MakeMeasure(kind);
+      Result<std::unique_ptr<distance::PreparedLog>> prepared =
+          Status::Internal("not prepared");
+      const double prepare_ms =
+          bench::TimeMs([&] { prepared = measure->Prepare(list, ctx); });
+      if (!prepared.ok()) {
+        std::fprintf(stderr, "FATAL: %s\n",
+                     prepared.status().ToString().c_str());
+        return 1;
+      }
+      const distance::PreparedLog& log = **prepared;
+      std::vector<double> rows(static_cast<size_t>(cells));
+      const double rows_ms = bench::TimeMs([&] {
+        size_t k = 0;
+        for (size_t i = 1; i < n; ++i) {
+          for (size_t j = 0; j < i; ++j) rows[k++] = log.Distance(j, i);
         }
-        double legacy_ms = bench::TimeMs([&] {
-          DPE_BENCH_CHECK(distance::DistanceMatrix::Compute(s.log, *measure, ctx));
-        });
-        double feat_ms = bench::TimeMs(
-            [&] { DPE_BENCH_CHECK(serial_builder.Build(s.log, *measure, ctx)); });
-        std::printf("%-12s %6zu %12.1f %14.1f %7.2fx %10.1e\n",
-                    MeasureKindName(kind), n, legacy_ms, feat_ms,
-                    legacy_ms / (feat_ms > 0 ? feat_ms : 1e-9), *delta);
-        report.Add("legacy_ms", legacy_ms,
-                   {{"measure", MeasureKindName(kind)},
-                    {"n", std::to_string(n)}});
-        report.Add("featurized_ms", feat_ms,
+      });
+      // Bit-identity against the serial reference build.
+      auto reference =
+          distance::DistanceMatrix::Compute(s.log, *MakeMeasure(kind), ctx);
+      DPE_BENCH_CHECK(reference);
+      double delta = 0.0;
+      size_t k = 0;
+      for (size_t i = 1; i < n; ++i) {
+        for (size_t j = 0; j < i; ++j, ++k) {
+          delta = std::max(delta, std::fabs(rows[k] - reference->at(j, i)));
+        }
+      }
+      if (delta != 0.0) {
+        std::fprintf(stderr, "FATAL: prepared rows differ from "
+                             "DistanceMatrix::Compute\n");
+        return 1;
+      }
+      const double ns_per_cell = rows_ms * 1e6 / cells;
+      std::printf("%-12s %6zu %11.2f %9.2f %13.1f %10.1e\n",
+                  MeasureKindName(kind), n, prepare_ms, rows_ms, ns_per_cell,
+                  delta);
+      for (const auto& [metric, value] :
+           {std::pair{"prepare_ms", prepare_ms}, std::pair{"rows_ms", rows_ms},
+            std::pair{"rows_ns_per_cell", ns_per_cell}}) {
+        report.Add(metric, value,
                    {{"measure", MeasureKindName(kind)},
                     {"n", std::to_string(n)}});
       }

@@ -50,15 +50,19 @@ bool Connects(const std::optional<IntervalBound>& a_hi,
   return a_hi->inclusive || b_lo->inclusive;
 }
 
-}  // namespace
-
-bool Interval::IsEmpty() const {
+/// True when no value lies between `lo` and `hi` (nullopt = unbounded).
+bool EmptyBetween(const std::optional<IntervalBound>& lo,
+                  const std::optional<IntervalBound>& hi) {
   if (!lo.has_value() || !hi.has_value()) return false;
   int c = CmpValue(lo->value, hi->value);
   if (c > 0) return true;
   if (c == 0) return !(lo->inclusive && hi->inclusive);
   return false;
 }
+
+}  // namespace
+
+bool Interval::IsEmpty() const { return EmptyBetween(lo, hi); }
 
 bool Interval::Contains(const Value& v) const {
   if (lo.has_value()) {
@@ -145,6 +149,19 @@ IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
     }
   }
   return OfAll(std::move(pieces));
+}
+
+bool IntervalSet::Intersects(const IntervalSet& other) const {
+  // Intersect's pairwise pieces, tested for emptiness where they lie: no
+  // piece (or Value endpoint) is copied.
+  for (const Interval& a : intervals_) {
+    for (const Interval& b : other.intervals_) {
+      const auto& lo = CmpLo(a.lo, b.lo) >= 0 ? a.lo : b.lo;
+      const auto& hi = CmpHi(a.hi, b.hi) <= 0 ? a.hi : b.hi;
+      if (!EmptyBetween(lo, hi)) return true;
+    }
+  }
+  return false;
 }
 
 IntervalSet IntervalSet::Complement() const {

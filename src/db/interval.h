@@ -76,9 +76,9 @@ class IntervalSet {
   /// Complement w.r.t. the full line (clip with a universe set as needed).
   IntervalSet Complement() const;
 
-  bool Intersects(const IntervalSet& other) const {
-    return !Intersect(other).IsEmpty();
-  }
+  /// Same answer as !Intersect(other).IsEmpty(), without building the
+  /// intersection.
+  bool Intersects(const IntervalSet& other) const;
 
   /// Structural equality of the normalized representations.
   bool operator==(const IntervalSet& other) const {

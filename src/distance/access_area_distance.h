@@ -46,25 +46,18 @@ class AccessAreaDistance final : public QueryDistanceMeasure {
 
   std::string Name() const override { return "access-area"; }
   SharedInformation Shared() const override { return {true, false, true}; }
-  /// Extracts every query's access areas once, filling the area cache;
-  /// afterwards Distance over prepared queries is read-only and
-  /// thread-safe. The cache is bound to the domain registry last Prepared:
-  /// Prepare with a different registry clears and refills it (so stale
-  /// areas are never served across registries), and Distance consults it
-  /// only when the context carries that same registry. Without Prepare,
-  /// areas are extracted per pair, as before.
-  Status Prepare(const std::vector<sql::SelectQuery>& queries,
-                 const MeasureContext& context) const override;
-  Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
-                          const MeasureContext& context) const override;
+  /// Extracts the access areas of every query not yet in the area memo;
+  /// the log's rows point into the memo. The memo is bound to the domain
+  /// registry last prepared under: a different registry (by address or by
+  /// content) clears and refills it, so stale areas are never served.
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context) const override;
 
   const Options& options() const { return options_; }
 
  private:
   using AreaMap = std::map<std::string, db::IntervalSet>;
-
-  /// delta-average of two extracted area maps (the Definition-5 sum).
-  double AreaDistance(const AreaMap& areas1, const AreaMap& areas2) const;
 
   Options options_;
   /// True when `domains` matches the snapshot the cache was extracted
@@ -78,9 +71,8 @@ class AccessAreaDistance final : public QueryDistanceMeasure {
   mutable std::map<std::string, db::Domain> cached_domain_snapshot_;
   /// Per-query areas, keyed by canonical SQL text — extraction walks the
   /// predicate tree and builds interval sets, which dominates the pairwise
-  /// comparison it feeds. Transparent comparator: the hot path probes with
-  /// the FeatureCache's sql as a string_view, no per-pair allocation.
-  mutable std::map<std::string, AreaMap, std::less<>> cache_;
+  /// comparison it feeds.
+  mutable std::map<std::string, AreaMap> cache_;
 };
 
 }  // namespace dpe::distance

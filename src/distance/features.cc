@@ -93,17 +93,38 @@ FeatureCache FeatureCache::Intern(
 }
 
 Result<FeatureCache> FeatureCache::Compute(
-    const std::vector<sql::SelectQuery>& queries) {
-  std::vector<const sql::SelectQuery*> pointers;
-  pointers.reserve(queries.size());
+    const std::vector<const sql::SelectQuery*>& queries) {
   std::vector<RawQueryFeatures> raw;
   raw.reserve(queries.size());
-  for (const sql::SelectQuery& q : queries) {
-    DPE_ASSIGN_OR_RETURN(RawQueryFeatures r, ExtractRawFeatures(q));
-    pointers.push_back(&q);
+  for (const sql::SelectQuery* q : queries) {
+    DPE_ASSIGN_OR_RETURN(RawQueryFeatures r, ExtractRawFeatures(*q));
     raw.push_back(std::move(r));
   }
-  return Intern(pointers, std::move(raw));
+  return Intern(queries, std::move(raw));
+}
+
+Result<FeatureRows> FeatureRows::Resolve(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context) {
+  FeatureRows out;
+  out.rows_.reserve(queries.size());
+  if (context.features != nullptr) {
+    for (const sql::SelectQuery* q : queries) {
+      const QueryFeatures* f = context.features->Find(*q);
+      if (f == nullptr) break;
+      out.rows_.push_back(f);
+    }
+    if (out.rows_.size() == queries.size()) return out;
+    out.rows_.clear();
+  }
+  // Ids are only comparable within one cache, so a list the context's
+  // cache does not fully cover is extracted here as a whole.
+  DPE_ASSIGN_OR_RETURN(FeatureCache cache, FeatureCache::Compute(queries));
+  out.owned_ = std::make_unique<FeatureCache>(std::move(cache));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    out.rows_.push_back(&out.owned_->at(q));
+  }
+  return out;
 }
 
 }  // namespace dpe::distance

@@ -1,13 +1,11 @@
 // Per-query feature precomputation — the fix for the O(n²) re-tokenization
 // in the token-family measures.
 //
-// Without it, every Distance(q1, q2) call re-prints and re-lexes *both*
-// queries: an n-query matrix build performs O(n²) feature extractions for an
-// O(n) input. A FeatureCache extracts each query's features exactly once —
-// canonical SQL text, interned token ids (sorted set + ordered sequence),
-// interned structure-feature ids — and the measures' hot paths then run
-// SIMD merge/edit kernels over sorted id spans instead of re-lexing SQL per
-// pair.
+// A FeatureCache extracts each query's features exactly once — canonical
+// SQL text, interned token ids (sorted set + ordered sequence), interned
+// structure-feature ids — and the measures' prepared logs then run SIMD
+// merge/edit kernels over sorted id spans, so an n-query matrix build does
+// O(n) extractions instead of O(n²).
 //
 // Storage is structure-of-arrays: every interned id of every query lives in
 // ONE flat uint32_t arena, laid out per query in log order
@@ -24,8 +22,8 @@
 // Bit-identity: interning is a bijection on the strings/features actually
 // seen, and the Jaccard / edit distances depend only on element (in)equality
 // and set cardinalities, which any bijection preserves. So the featurized
-// distances are bit-identical to the un-featurized reference path — a tested
-// property, not a best-effort one.
+// distances equal the definitions over the raw token / feature sets bit for
+// bit — a tested property (prepared_distance_differential_test.cc).
 //
 // Extraction is split in two phases so the engine's MatrixBuilder can run
 // phase 1 in parallel:
@@ -34,18 +32,26 @@
 //   2. FeatureCache::Intern   — assign ids across the whole log and pack
 //      the arena; serial, cheap (hash-map inserts over already-extracted
 //      strings).
-// FeatureCache::Compute does both serially (the reference path).
+// FeatureCache::Compute does both serially.
+//
+// The bottom of this file is the plumbing the built-in measures' Prepare
+// shares: FeatureRows (the per-row features of a list being prepared) and
+// PreparedRows (the one PreparedLog implementation: a row per query and a
+// cell function over two rows).
 
 #ifndef DPE_DISTANCE_FEATURES_H_
 #define DPE_DISTANCE_FEATURES_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "distance/measure.h"
 #include "sql/ast.h"
 #include "sql/features.h"
 
@@ -96,9 +102,13 @@ class FeatureCache {
   FeatureCache(const FeatureCache&) = delete;
   FeatureCache& operator=(const FeatureCache&) = delete;
 
-  /// Reference path: extract + intern every query, serially.
+  /// Extracts + interns every query, serially; entry i is queries[i].
   static Result<FeatureCache> Compute(
-      const std::vector<sql::SelectQuery>& queries);
+      const std::vector<const sql::SelectQuery*>& queries);
+  static Result<FeatureCache> Compute(
+      const std::vector<sql::SelectQuery>& queries) {
+    return Compute(QueryList(queries));
+  }
 
   /// Phase 2: interns already-extracted raw features. `queries[i]` is the
   /// query `raw[i]` was extracted from; the vectors must be aligned. Arena
@@ -108,11 +118,14 @@ class FeatureCache {
                              std::vector<RawQueryFeatures> raw);
 
   /// Features of `q`, or nullptr when `q` is not one of the cached log's
-  /// objects (callers then fall back to extraction on the fly).
+  /// objects.
   const QueryFeatures* Find(const sql::SelectQuery& q) const {
     auto it = index_.find(&q);
     return it == index_.end() ? nullptr : &features_[it->second];
   }
+
+  /// Features of the i-th query the cache was built from.
+  const QueryFeatures& at(size_t i) const { return features_[i]; }
 
   size_t size() const { return features_.size(); }
 
@@ -127,6 +140,72 @@ class FeatureCache {
   /// reallocates while (or after) spans are created.
   std::vector<uint32_t> arena_;
 };
+
+/// The features of each query of a list being prepared: the context's
+/// cache when it covers every query, else a cache extracted here and owned.
+class FeatureRows {
+ public:
+  static Result<FeatureRows> Resolve(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context);
+
+  const QueryFeatures& operator[](size_t i) const { return *rows_[i]; }
+  size_t size() const { return rows_.size(); }
+
+  /// The cache extracted here (null when the context's served). A prepared
+  /// log that keeps spans of these features must keep this alive.
+  std::unique_ptr<FeatureCache> TakeOwned() { return std::move(owned_); }
+
+ private:
+  std::vector<const QueryFeatures*> rows_;
+  std::unique_ptr<FeatureCache> owned_;
+};
+
+/// The PreparedLog of every built-in measure: one Row per query (a span,
+/// a view or a pointer into the measure's memo), a cell function over two
+/// rows, and the feature cache the rows slice when Prepare built it.
+template <typename Row, typename Cell>
+class PreparedRows final : public PreparedLog {
+ public:
+  PreparedRows(std::vector<Row> rows, Cell cell,
+               std::unique_ptr<FeatureCache> owned)
+      : rows_(std::move(rows)), cell_(std::move(cell)),
+        owned_(std::move(owned)) {}
+
+  double Distance(size_t i, size_t j) const override {
+    return cell_(rows_[i], rows_[j]);
+  }
+
+ private:
+  std::vector<Row> rows_;
+  Cell cell_;
+  std::unique_ptr<FeatureCache> owned_;
+};
+
+template <typename Row, typename Cell>
+std::unique_ptr<PreparedLog> MakePreparedRows(
+    std::vector<Row> rows, Cell cell,
+    std::unique_ptr<FeatureCache> owned = nullptr) {
+  return std::make_unique<PreparedRows<Row, Cell>>(
+      std::move(rows), std::move(cell), std::move(owned));
+}
+
+/// Prepare of a log-only measure: resolves the features, keeps
+/// row_of(features) per query and pairs rows with `cell`.
+template <typename RowOf, typename Cell>
+Result<std::unique_ptr<PreparedLog>> PrepareFeatureRows(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context, RowOf row_of, Cell cell) {
+  DPE_ASSIGN_OR_RETURN(FeatureRows features,
+                       FeatureRows::Resolve(queries, context));
+  std::vector<std::invoke_result_t<RowOf, const QueryFeatures&>> rows;
+  rows.reserve(features.size());
+  for (size_t q = 0; q < features.size(); ++q) {
+    rows.push_back(row_of(features[q]));
+  }
+  return MakePreparedRows(std::move(rows), std::move(cell),
+                          features.TakeOwned());
+}
 
 }  // namespace dpe::distance
 

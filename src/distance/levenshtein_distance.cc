@@ -5,18 +5,21 @@
 
 #include "common/simd.h"
 #include "distance/features.h"
-#include "sql/lexer.h"
-#include "sql/printer.h"
 
 namespace dpe::distance {
 
 namespace {
 
-// The DP only reads element (in)equality, so it runs unchanged over string
-// vectors (reference), interned id vectors and raw character strings — the
-// equality pattern, hence every table cell, is identical across them.
-template <typename Seq>
-size_t EditDistanceSeq(const Seq& a, const Seq& b) {
+double Normalized(size_t edits, size_t len_a, size_t len_b) {
+  const size_t longest = std::max(len_a, len_b);
+  if (longest == 0) return 0.0;
+  return static_cast<double>(edits) / static_cast<double>(longest);
+}
+
+}  // namespace
+
+size_t EditDistance(const std::vector<std::string>& a,
+                    const std::vector<std::string>& b) {
   const size_t n = a.size(), m = b.size();
   std::vector<size_t> prev(m + 1), cur(m + 1);
   for (size_t j = 0; j <= m; ++j) prev[j] = j;
@@ -31,57 +34,31 @@ size_t EditDistanceSeq(const Seq& a, const Seq& b) {
   return prev[m];
 }
 
-double Normalized(size_t edits, size_t len_a, size_t len_b) {
-  const size_t longest = std::max(len_a, len_b);
-  if (longest == 0) return 0.0;
-  return static_cast<double>(edits) / static_cast<double>(longest);
-}
-
-}  // namespace
-
-size_t EditDistance(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) {
-  return EditDistanceSeq(a, b);
-}
-
-Result<double> LevenshteinDistance::Distance(const sql::SelectQuery& q1,
-                                             const sql::SelectQuery& q2,
-                                             const MeasureContext& context) const {
-  if (context.features != nullptr) {
-    const QueryFeatures* f1 = context.features->Find(q1);
-    const QueryFeatures* f2 = context.features->Find(q2);
-    if (f1 != nullptr && f2 != nullptr) {
-      // Featurized hot path: the dispatched edit-distance kernel (scalar
-      // two-row DP, or the bit-parallel Myers kernel on the SIMD backends —
-      // an exact integer either way, so bit-identical across backends).
-      const common::simd::KernelTable& kernels =
-          common::simd::KernelsFor(context.kernel_backend);
-      if (granularity_ == Granularity::kTokenSequence) {
-        return Normalized(
-            kernels.edit_u32(f1->token_seq.data(), f1->token_seq.size(),
-                             f2->token_seq.data(), f2->token_seq.size()),
-            f1->token_seq.size(), f2->token_seq.size());
-      }
-      const std::string_view s1 = f1->sql, s2 = f2->sql;
-      return Normalized(
-          kernels.edit_bytes(s1.data(), s1.size(), s2.data(), s2.size()),
-          s1.size(), s2.size());
-    }
-  }
-
-  const std::string s1 = sql::ToSql(q1);
-  const std::string s2 = sql::ToSql(q2);
-  std::vector<std::string> a, b;
+Result<std::unique_ptr<PreparedLog>> LevenshteinDistance::Prepare(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context) const {
+  // The dispatched edit-distance kernel (scalar two-row DP, or the
+  // bit-parallel Myers kernel on the SIMD backends) is an exact integer
+  // either way, so the cells are bit-identical across backends.
+  const common::simd::KernelTable* kernels =
+      &common::simd::KernelsFor(context.kernel_backend);
   if (granularity_ == Granularity::kTokenSequence) {
-    DPE_ASSIGN_OR_RETURN(auto t1, sql::Lex(s1));
-    DPE_ASSIGN_OR_RETURN(auto t2, sql::Lex(s2));
-    for (const auto& t : t1) a.push_back(t.lexeme);
-    for (const auto& t : t2) b.push_back(t.lexeme);
-  } else {
-    for (char c : s1) a.emplace_back(1, c);
-    for (char c : s2) b.emplace_back(1, c);
+    return PrepareFeatureRows(
+        queries, context, [](const QueryFeatures& f) { return f.token_seq; },
+        [kernels](std::span<const uint32_t> a, std::span<const uint32_t> b) {
+          return Normalized(
+              kernels->edit_u32(a.data(), a.size(), b.data(), b.size()),
+              a.size(), b.size());
+        });
   }
-  return Normalized(EditDistance(a, b), a.size(), b.size());
+  return PrepareFeatureRows(
+      queries, context,
+      [](const QueryFeatures& f) { return std::string_view(f.sql); },
+      [kernels](std::string_view a, std::string_view b) {
+        return Normalized(
+            kernels->edit_bytes(a.data(), a.size(), b.data(), b.size()),
+            a.size(), b.size());
+      });
 }
 
 }  // namespace dpe::distance

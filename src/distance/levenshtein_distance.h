@@ -35,8 +35,9 @@ class LevenshteinDistance final : public QueryDistanceMeasure {
                                                        : "levenshtein-char";
   }
   SharedInformation Shared() const override { return {true, false, false}; }
-  Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
-                          const MeasureContext& context) const override;
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context) const override;
 
  private:
   Granularity granularity_;

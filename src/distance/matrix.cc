@@ -85,13 +85,12 @@ Result<DistanceMatrix> DistanceMatrix::FromUpperTriangle(
 Result<DistanceMatrix> DistanceMatrix::Compute(
     const std::vector<sql::SelectQuery>& queries,
     const QueryDistanceMeasure& measure, const MeasureContext& context) {
-  DPE_RETURN_NOT_OK(measure.Prepare(queries, context));
+  DPE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedLog> log,
+                       measure.Prepare(QueryList(queries), context));
   DistanceMatrix m(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     for (size_t j = i + 1; j < queries.size(); ++j) {
-      DPE_ASSIGN_OR_RETURN(double d,
-                           measure.Distance(queries[i], queries[j], context));
-      m.set(i, j, d);
+      m.set(i, j, log->Distance(i, j));
     }
   }
   return m;

@@ -73,9 +73,9 @@ class DistanceMatrix {
   static Result<DistanceMatrix> FromUpperTriangle(
       size_t n, const std::vector<double>& upper);
 
-  /// Computes all pairwise distances of `queries` under `measure`, serially.
-  /// This is the reference implementation the engine's parallel builder is
-  /// tested bit-identical against.
+  /// Computes all pairwise distances of `queries` under `measure`, serially:
+  /// one Prepare, then cell (i, j) = Distance(i, j) for i < j. The engine's
+  /// parallel builder is tested bit-identical against it.
   static Result<DistanceMatrix> Compute(
       const std::vector<sql::SelectQuery>& queries,
       const QueryDistanceMeasure& measure, const MeasureContext& context);

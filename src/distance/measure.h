@@ -10,6 +10,7 @@
 #ifndef DPE_DISTANCE_MEASURE_H_
 #define DPE_DISTANCE_MEASURE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,9 @@ struct MeasureContext {
   /// Attribute domains (access-area distance).
   const db::DomainRegistry* domains = nullptr;
   /// Precomputed per-query features (distance/features.h), set by the
-  /// engine's MatrixBuilder for the duration of one build. Optional: with
-  /// it the log-only measures skip re-printing/re-lexing SQL per pair;
-  /// without it (or for queries outside the cache) every measure falls back
-  /// to extraction on the fly, bit-identically.
+  /// engine's MatrixBuilder for the duration of one build. Optional:
+  /// Prepare reads it when it covers every query being prepared and
+  /// extracts features itself otherwise, bit-identically.
   const FeatureCache* features = nullptr;
   /// Which SIMD kernel backend the measures' hot loops dispatch to
   /// (common/simd.h). kAuto resolves env + CPU detection; an explicit value
@@ -52,6 +52,33 @@ struct MeasureContext {
   /// only change speed, never distances — a tested property.
   common::simd::KernelBackend kernel_backend =
       common::simd::KernelBackend::kAuto;
+};
+
+/// Pointers to every query of `log`, in order: the list Prepare takes.
+inline std::vector<const sql::SelectQuery*> QueryList(
+    const std::vector<sql::SelectQuery>& log) {
+  std::vector<const sql::SelectQuery*> list;
+  list.reserve(log.size());
+  for (const sql::SelectQuery& q : log) list.push_back(&q);
+  return list;
+}
+
+/// A measure bound to one query list by QueryDistanceMeasure::Prepare:
+/// every lookup by SQL text, query address or database was resolved there,
+/// once per row, so a cell is pure arithmetic over per-row data.
+///
+/// Immutable, so Distance is safe to call from any number of threads at
+/// once. It holds pointers into the measure's memo and into the feature
+/// cache of the context it was prepared under: it is valid until the
+/// measure's next Prepare or destruction, and no longer than that feature
+/// cache lives.
+class PreparedLog {
+ public:
+  virtual ~PreparedLog() = default;
+
+  /// d(queries[i], queries[j]) in [0, 1], for positions i, j of the list
+  /// Prepare was given. The builders call it with the smaller index first.
+  virtual double Distance(size_t i, size_t j) const = 0;
 };
 
 class QueryDistanceMeasure {
@@ -64,22 +91,26 @@ class QueryDistanceMeasure {
   /// Which Table-I shared information this measure needs.
   virtual SharedInformation Shared() const = 0;
 
-  /// Optional per-log precomputation before many Distance calls (e.g. the
-  /// result measure executes each query once here instead of lazily).
-  /// Called single-threaded. Contract: after a successful Prepare over
-  /// `queries`, Distance must be safe to call concurrently for pairs drawn
-  /// from `queries` — the engine's parallel matrix builder relies on this.
-  virtual Status Prepare(const std::vector<sql::SelectQuery>& queries,
-                         const MeasureContext& context) const {
-    (void)queries;
-    (void)context;
-    return Status::OK();
-  }
+  /// Binds the measure to `queries` (which must outlive the result):
+  /// extracts each query's features once (reusing context.features when it
+  /// covers every query, building a cache otherwise), executes or extracts
+  /// what the measure needs per row, and fails here on anything a cell
+  /// would need. Called single-threaded per measure instance; measures may
+  /// memoize across calls (the result measure keeps executed tuple sets
+  /// keyed by SQL text, so incremental builds do not re-execute queries).
+  virtual Result<std::unique_ptr<PreparedLog>> Prepare(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context) const = 0;
 
-  /// d(q1, q2) in [0, 1].
-  virtual Result<double> Distance(const sql::SelectQuery& q1,
-                                  const sql::SelectQuery& q2,
-                                  const MeasureContext& context) const = 0;
+  /// d(q1, q2) in [0, 1]: Prepare over {q1, q2}, then Distance(0, 1). For
+  /// one-off pairs; matrix builds prepare the whole log once.
+  Result<double> Distance(const sql::SelectQuery& q1,
+                          const sql::SelectQuery& q2,
+                          const MeasureContext& context) const {
+    DPE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedLog> log,
+                         Prepare({&q1, &q2}, context));
+    return log->Distance(0, 1);
+  }
 };
 
 }  // namespace dpe::distance

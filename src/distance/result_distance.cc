@@ -6,31 +6,16 @@
 
 #include "distance/features.h"
 #include "distance/jaccard.h"
-#include "sql/printer.h"
 
 namespace dpe::distance {
 
-namespace {
-
-/// Cache key: the database identity plus the canonical SQL text (reused
-/// from the feature cache when present, so the hot path never re-prints).
-std::string CacheKey(const sql::SelectQuery& q, const MeasureContext& context) {
+Result<const std::vector<uint32_t>*> ResultDistance::TupleIdsOf(
+    const sql::SelectQuery& q, const std::string& sql,
+    const MeasureContext& context) const {
   char db_tag[32];
   std::snprintf(db_tag, sizeof(db_tag), "%p|",
                 static_cast<const void*>(context.database));
-  if (context.features != nullptr) {
-    if (const QueryFeatures* f = context.features->Find(q)) {
-      return std::string(db_tag) + f->sql;
-    }
-  }
-  return std::string(db_tag) + sql::ToSql(q);
-}
-
-}  // namespace
-
-Result<const std::vector<uint32_t>*> ResultDistance::TupleIdsOf(
-    const sql::SelectQuery& q, const MeasureContext& context) const {
-  std::string key = CacheKey(q, context);
+  std::string key = db_tag + sql;
   auto it = cache_.find(key);
   if (it != cache_.end()) return &it->second;
 
@@ -53,30 +38,28 @@ Result<const std::vector<uint32_t>*> ResultDistance::TupleIdsOf(
   return &inserted->second;
 }
 
-Status ResultDistance::Prepare(const std::vector<sql::SelectQuery>& queries,
-                               const MeasureContext& context) const {
+Result<std::unique_ptr<PreparedLog>> ResultDistance::Prepare(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context) const {
   if (context.database == nullptr) {
     return Status::InvalidArgument(
         "result distance requires the database content (Table I)");
   }
-  for (const sql::SelectQuery& q : queries) {
+  DPE_ASSIGN_OR_RETURN(FeatureRows features,
+                       FeatureRows::Resolve(queries, context));
+  std::vector<std::span<const uint32_t>> rows;
+  rows.reserve(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
     DPE_ASSIGN_OR_RETURN(const std::vector<uint32_t>* ids,
-                         TupleIdsOf(q, context));
-    (void)ids;
+                         TupleIdsOf(*queries[q], features[q].sql, context));
+    rows.emplace_back(*ids);
   }
-  return Status::OK();
-}
-
-Result<double> ResultDistance::Distance(const sql::SelectQuery& q1,
-                                        const sql::SelectQuery& q2,
-                                        const MeasureContext& context) const {
-  if (context.database == nullptr) {
-    return Status::InvalidArgument(
-        "result distance requires the database content (Table I)");
-  }
-  DPE_ASSIGN_OR_RETURN(const std::vector<uint32_t>* t1, TupleIdsOf(q1, context));
-  DPE_ASSIGN_OR_RETURN(const std::vector<uint32_t>* t2, TupleIdsOf(q2, context));
-  return JaccardDistanceSorted(*t1, *t2, context.kernel_backend);
+  return MakePreparedRows(
+      std::move(rows),
+      [backend = context.kernel_backend](std::span<const uint32_t> a,
+                                         std::span<const uint32_t> b) {
+        return JaccardDistanceSorted(a, b, backend);
+      });
 }
 
 }  // namespace dpe::distance

@@ -2,11 +2,12 @@
 // tuples. Requires the database content (Table I row 3); both queries are
 // executed against context.database.
 //
-// Each query is executed once (Prepare, or lazily on first use) and its
-// result tuples are interned into a sorted id vector — the per-pair hot
-// path is then a merge intersection over ids instead of a string-set walk.
-// Interning is a bijection on the tuple keys actually seen, so the Jaccard
-// values are bit-identical to the direct string-set computation.
+// Prepare executes each query once and interns its result tuples into a
+// sorted id vector, memoized by (database, SQL text) across calls; the
+// prepared log holds one span of ids per row, so a cell is a merge
+// intersection over ids instead of a string-set walk. Interning is a
+// bijection on the tuple keys actually seen, so the Jaccard values are
+// bit-identical to the direct string-set computation.
 
 #ifndef DPE_DISTANCE_RESULT_DISTANCE_H_
 #define DPE_DISTANCE_RESULT_DISTANCE_H_
@@ -25,19 +26,18 @@ class ResultDistance final : public QueryDistanceMeasure {
  public:
   std::string Name() const override { return "result"; }
   SharedInformation Shared() const override { return {true, true, false}; }
-  /// Executes every query once, filling the tuple-id cache; afterwards
-  /// Distance over prepared queries is read-only and thread-safe.
-  Status Prepare(const std::vector<sql::SelectQuery>& queries,
-                 const MeasureContext& context) const override;
-  Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
-                          const MeasureContext& context) const override;
+  /// Executes every query not yet in the memo; the log's rows point into
+  /// the memo.
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context) const override;
 
  private:
-  /// Sorted interned tuple ids of one query's result, memoized per
-  /// (database, SQL text) so a distance matrix over n queries executes each
-  /// query once, not n times.
+  /// Sorted interned tuple ids of `q` (canonical text `sql`), memoized per
+  /// (database, SQL text) so a query is executed once across builds.
   Result<const std::vector<uint32_t>*> TupleIdsOf(
-      const sql::SelectQuery& q, const MeasureContext& context) const;
+      const sql::SelectQuery& q, const std::string& sql,
+      const MeasureContext& context) const;
 
   mutable std::map<std::string, std::vector<uint32_t>> cache_;
   /// Tuple key -> id, shared across the cached queries (one id space per

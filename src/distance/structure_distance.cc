@@ -2,22 +2,18 @@
 
 #include "distance/features.h"
 #include "distance/jaccard.h"
-#include "sql/features.h"
 
 namespace dpe::distance {
 
-Result<double> StructureDistance::Distance(const sql::SelectQuery& q1,
-                                           const sql::SelectQuery& q2,
-                                           const MeasureContext& context) const {
-  if (context.features != nullptr) {
-    const QueryFeatures* f1 = context.features->Find(q1);
-    const QueryFeatures* f2 = context.features->Find(q2);
-    if (f1 != nullptr && f2 != nullptr) {
-      return JaccardDistanceSorted(f1->structure_ids, f2->structure_ids,
-                                   context.kernel_backend);
-    }
-  }
-  return JaccardDistance(sql::Features(q1), sql::Features(q2));
+Result<std::unique_ptr<PreparedLog>> StructureDistance::Prepare(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context) const {
+  return PrepareFeatureRows(
+      queries, context, [](const QueryFeatures& f) { return f.structure_ids; },
+      [backend = context.kernel_backend](std::span<const uint32_t> a,
+                                         std::span<const uint32_t> b) {
+        return JaccardDistanceSorted(a, b, backend);
+      });
 }
 
 }  // namespace dpe::distance

@@ -2,25 +2,18 @@
 
 #include "distance/features.h"
 #include "distance/jaccard.h"
-#include "sql/lexer.h"
-#include "sql/printer.h"
 
 namespace dpe::distance {
 
-Result<double> TokenDistance::Distance(const sql::SelectQuery& q1,
-                                       const sql::SelectQuery& q2,
-                                       const MeasureContext& context) const {
-  if (context.features != nullptr) {
-    const QueryFeatures* f1 = context.features->Find(q1);
-    const QueryFeatures* f2 = context.features->Find(q2);
-    if (f1 != nullptr && f2 != nullptr) {
-      return JaccardDistanceSorted(f1->token_ids, f2->token_ids,
-                                   context.kernel_backend);
-    }
-  }
-  DPE_ASSIGN_OR_RETURN(auto t1, sql::TokenSet(sql::ToSql(q1)));
-  DPE_ASSIGN_OR_RETURN(auto t2, sql::TokenSet(sql::ToSql(q2)));
-  return JaccardDistance(t1, t2);
+Result<std::unique_ptr<PreparedLog>> TokenDistance::Prepare(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context) const {
+  return PrepareFeatureRows(
+      queries, context, [](const QueryFeatures& f) { return f.token_ids; },
+      [backend = context.kernel_backend](std::span<const uint32_t> a,
+                                         std::span<const uint32_t> b) {
+        return JaccardDistanceSorted(a, b, backend);
+      });
 }
 
 }  // namespace dpe::distance

@@ -12,8 +12,9 @@ class TokenDistance final : public QueryDistanceMeasure {
  public:
   std::string Name() const override { return "token"; }
   SharedInformation Shared() const override { return {true, false, false}; }
-  Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
-                          const MeasureContext& context) const override;
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      const std::vector<const sql::SelectQuery*>& queries,
+      const MeasureContext& context) const override;
 };
 
 }  // namespace dpe::distance

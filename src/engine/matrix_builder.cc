@@ -9,29 +9,6 @@
 
 namespace dpe::engine {
 
-namespace {
-
-/// Computes the cells of one upper-triangle tile (block coordinates
-/// (bi, bj)) via the shared tile->cells traversal.
-Status ComputeTile(const std::vector<sql::SelectQuery>& queries,
-                   const distance::QueryDistanceMeasure& measure,
-                   const distance::MeasureContext& context, size_t block,
-                   size_t bi, size_t bj, distance::DistanceMatrix& m) {
-  Status status = Status::OK();
-  ForEachTileCell(queries.size(), block, bi, bj, [&](size_t i, size_t j) {
-    if (!status.ok()) return;
-    auto d = measure.Distance(queries[i], queries[j], context);
-    if (!d.ok()) {
-      status = d.status();
-      return;
-    }
-    m.SetUnchecked(i, j, *d);
-  });
-  return status;
-}
-
-}  // namespace
-
 Status MatrixBuilder::ValidateOptions() const {
   if (options_.block == 0) {
     return Status::InvalidArgument(
@@ -71,29 +48,15 @@ Result<distance::FeatureCache> MatrixBuilder::PrecomputeFeatures(
   return distance::FeatureCache::Intern(selected, std::move(raw));
 }
 
-Result<distance::MeasureContext> MatrixBuilder::PrepareSelected(
-    const std::vector<sql::SelectQuery>& queries,
-    const std::vector<bool>& used,
+Result<std::unique_ptr<distance::PreparedLog>> MatrixBuilder::PrepareSelected(
+    const std::vector<const sql::SelectQuery*>& selected,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context,
     distance::FeatureCache* features) const {
-  std::vector<const sql::SelectQuery*> selected;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (used[q]) selected.push_back(&queries[q]);
-  }
   DPE_ASSIGN_OR_RETURN(*features, PrecomputeFeatures(selected));
   distance::MeasureContext ctx = context;
   ctx.features = features;
-
-  if (selected.size() == queries.size()) {
-    DPE_RETURN_NOT_OK(measure.Prepare(queries, ctx));
-  } else {
-    std::vector<sql::SelectQuery> subset;
-    subset.reserve(selected.size());
-    for (const sql::SelectQuery* q : selected) subset.push_back(*q);
-    DPE_RETURN_NOT_OK(measure.Prepare(subset, ctx));
-  }
-  return ctx;
+  return measure.Prepare(selected, ctx);
 }
 
 Result<distance::DistanceMatrix> MatrixBuilder::Build(
@@ -154,9 +117,10 @@ Result<std::vector<double>> MatrixBuilder::BuildRows(
       "build.prepare", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "prepare"}}));
   distance::FeatureCache features;
-  DPE_ASSIGN_OR_RETURN(distance::MeasureContext ctx,
-                       PrepareSelected(queries, std::vector<bool>(n, true),
-                                       measure, context, &features));
+  DPE_ASSIGN_OR_RETURN(
+      std::unique_ptr<distance::PreparedLog> log,
+      PrepareSelected(distance::QueryList(queries), measure, context,
+                      &features));
   prepare_span.End();
 
   obs::TraceSpan rows_span(
@@ -167,10 +131,6 @@ Result<std::vector<double>> MatrixBuilder::BuildRows(
   DPE_RETURN_NOT_OK(common::ParallelForStatus(
       pool_, 0, bounds.size() - 1, 1,
       [&](size_t begin, size_t end) -> Status {
-        // Pool workers inherit the build's trace buffer for the duration of
-        // this chunk, so crypto spans fired from measure code on a worker
-        // thread land in the same trace as the build that caused them.
-        obs::ScopedAmbientTrace ambient(options_.trace);
         for (size_t band = begin; band < end; ++band) {
           const size_t lo = bounds[band];
           const size_t hi = bounds[band + 1];
@@ -185,10 +145,7 @@ Result<std::vector<double>> MatrixBuilder::BuildRows(
             for (size_t i = std::max(lo, jb + 1); i < hi; ++i) {
               double* row = rows.data() + (store::TriangleCells(i) - base);
               const size_t j_end = std::min(jb + block, i);
-              for (size_t j = jb; j < j_end; ++j) {
-                DPE_ASSIGN_OR_RETURN(
-                    row[j], measure.Distance(queries[j], queries[i], ctx));
-              }
+              for (size_t j = jb; j < j_end; ++j) row[j] = log->Distance(j, i);
             }
           }
           const uint64_t cells =
@@ -228,7 +185,7 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
     size_t tile_end) const {
   DPE_RETURN_NOT_OK(ValidateOptions());
   // An explicitly requested kernel backend this CPU cannot run fails the
-  // build loudly here; the per-pair dispatch below would otherwise degrade
+  // build loudly here; the kernel dispatch would otherwise degrade
   // silently (same distances, but not what the operator asked to measure).
   DPE_RETURN_NOT_OK(common::simd::ValidateBackend(context.kernel_backend));
   const size_t n = queries.size();
@@ -243,6 +200,7 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
 
   // Featurize + prepare only the queries the requested tiles touch: a shard
   // building a few tiles must not pay feature extraction for the whole log.
+  // position[q] is query q's row in the prepared log.
   std::vector<bool> used(n, false);
   for (size_t t = tile_begin; t < tile_end; ++t) {
     const auto [bi, bj] = tiles[t];
@@ -252,6 +210,13 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
     for (size_t j = bj * block; j < std::min(n, (bj + 1) * block); ++j) {
       used[j] = true;
     }
+  }
+  std::vector<const sql::SelectQuery*> selected;
+  std::vector<size_t> position(n);
+  for (size_t q = 0; q < n; ++q) {
+    if (!used[q]) continue;
+    position[q] = selected.size();
+    selected.push_back(&queries[q]);
   }
   // Resolve instruments once per build — never inside the pair loops.
   obs::MetricsRegistry& metrics = Metrics();
@@ -269,15 +234,13 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
       &metrics.histogram("build.stage_ms", {{"stage", "prepare"}}));
   distance::FeatureCache features;
   DPE_ASSIGN_OR_RETURN(
-      distance::MeasureContext ctx,
-      PrepareSelected(queries, used, measure, context, &features));
+      std::unique_ptr<distance::PreparedLog> log,
+      PrepareSelected(selected, measure, context, &features));
   prepare_span.End();
 
   distance::DistanceMatrix m(n);
-  // One tile per chunk; ParallelForStatus returns the first failing tile
-  // in schedule order (deterministic error selection). Cell (i, j), i < j,
-  // belongs to exactly one tile, and SetUnchecked mirrors into (j, i) which
-  // no other tile touches.
+  // One tile per chunk. Cell (i, j), i < j, belongs to exactly one tile,
+  // and SetUnchecked mirrors into (j, i) which no other tile touches.
   obs::TraceSpan tiles_span(
       "build.tiles", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "tiles"}}));
@@ -285,10 +248,6 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
       options_.trace != nullptr && options_.trace->enabled();
   DPE_RETURN_NOT_OK(common::ParallelForStatus(
       pool_, tile_begin, tile_end, 1, [&](size_t begin, size_t end) -> Status {
-        // Pool workers inherit the build's trace buffer for the duration of
-        // this chunk, so crypto spans fired from measure code on a worker
-        // thread land in the same trace as the build that caused them.
-        obs::ScopedAmbientTrace ambient(options_.trace);
         for (size_t t = begin; t < end; ++t) {
           const auto [bi, bj] = tiles[t];
           std::optional<obs::TraceSpan> tile_span;
@@ -296,8 +255,9 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
             tile_span.emplace("build.tile." + std::to_string(t),
                               options_.trace);
           }
-          DPE_RETURN_NOT_OK(
-              ComputeTile(queries, measure, ctx, block, bi, bj, m));
+          ForEachTileCell(n, block, bi, bj, [&](size_t i, size_t j) {
+            m.SetUnchecked(i, j, log->Distance(position[i], position[j]));
+          });
           // One add per completed tile covers its whole upper-triangle
           // cell set — per-pair counting would perturb the hot path.
           const uint64_t tile_cells = TileCellCount(n, block, bi, bj);

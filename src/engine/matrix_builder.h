@@ -1,29 +1,29 @@
 // Parallel, cache-blocked construction of pairwise distance matrices.
 //
-// Before any distances are computed, the builder runs the feature-
-// precompute pipeline (distance/features.h): every query is printed, lexed
-// and featurized exactly once — in parallel on the pool — and the resulting
-// FeatureCache is threaded through the MeasureContext so each measure's hot
-// path consumes precomputed features instead of re-lexing SQL per pair.
-// That turns the matrix build from O(n²·lex) into O(n·lex + n²·merge).
+// A build has two stages. Prepare: every query the build touches is
+// printed, lexed and featurized exactly once — in parallel on the pool —
+// and the measure's Prepare binds itself to that query list, resolving
+// per row whatever a cell needs (feature spans, executed tuple-id sets,
+// access-area maps). Rows: the pair loops call the resulting
+// distance::PreparedLog by log position, so the O(n²) part does no string
+// keys, hashing or allocation — O(n·extract + n²·merge) in all.
 //
 // The one build primitive is BuildRows: it computes rows [row_begin, n) of
 // the packed lower triangle (store::Triangle — row i holds d(0..i-1, i)),
 // one pool task per band of rows balanced by cell count, columns blocked
 // by `block` inside each band. A cold build is BuildRows from row 0; an
 // incremental build after AddQuery is BuildRows from the memo's row count.
-// BuildTiles covers the shard path's tile ranges. Every cell carries the
-// exact value the serial, un-featurized DistanceMatrix::Compute produces
-// (featurization preserves the distances bit-for-bit, and each cell is
-// computed with the smaller index first, as Compute does), so the parallel
-// result is bit-identical to the serial one — a tested guarantee, not a
-// best-effort property.
+// BuildTiles covers the shard path's tile ranges. Every cell is
+// PreparedLog::Distance with the smaller index first — the call the
+// serial DistanceMatrix::Compute makes — so the parallel result is
+// bit-identical to the serial one, a tested guarantee.
 
 #ifndef DPE_ENGINE_MATRIX_BUILDER_H_
 #define DPE_ENGINE_MATRIX_BUILDER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -88,8 +88,8 @@ class MatrixBuilder {
   /// Rows [row_begin, n) of the packed lower triangle over `queries`, back
   /// to back: row i is d(queries[j], queries[i]) for j < i, starting at
   /// offset TriangleCells(i) - TriangleCells(row_begin). Precomputes
-  /// features, calls measure.Prepare, then computes the rows in bands
-  /// balanced by cell count. OutOfRange if row_begin > n.
+  /// features, prepares the measure over the whole log, then computes the
+  /// rows in bands balanced by cell count. OutOfRange if row_begin > n.
   Result<std::vector<double>> BuildRows(
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
@@ -110,14 +110,11 @@ class MatrixBuilder {
   Result<distance::FeatureCache> PrecomputeFeatures(
       const std::vector<const sql::SelectQuery*>& selected) const;
 
-  /// Featurizes the queries flagged in `used` and runs measure.Prepare over
-  /// them (over the full log when all are used, over a copied subset
-  /// otherwise — measures memoize by canonical text, so preparing copies
-  /// still makes Distance on the originals a hit). Returns the context to
-  /// compute distances with; `features` must outlive it.
-  Result<distance::MeasureContext> PrepareSelected(
-      const std::vector<sql::SelectQuery>& queries,
-      const std::vector<bool>& used,
+  /// Featurizes `selected` into `features` and prepares `measure` over
+  /// it; position k of the returned log is selected[k]. `features` must
+  /// outlive the log.
+  Result<std::unique_ptr<distance::PreparedLog>> PrepareSelected(
+      const std::vector<const sql::SelectQuery*>& selected,
       const distance::QueryDistanceMeasure& measure,
       const distance::MeasureContext& context,
       distance::FeatureCache* features) const;

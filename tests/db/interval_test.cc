@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace dpe::db {
 namespace {
 
@@ -148,6 +154,76 @@ TEST(IntervalSetTest, MembershipAgreesWithBruteForce) {
     EXPECT_EQ(u.Contains(I(v)), in_a || in_b) << v;
     EXPECT_EQ(i.Contains(I(v)), in_a && in_b) << v;
     EXPECT_EQ(c.Contains(I(v)), !in_a) << v;
+  }
+}
+
+TEST(IntervalSetTest, IntersectsIsFalseWhenOnlyAnExclusiveEndpointIsShared) {
+  auto closed = IntervalSet::Of(Interval::Closed(I(1), I(2)));
+  auto open_right = IntervalSet::Of(
+      Interval{IntervalBound{I(2), false}, IntervalBound{I(3), true}});
+  auto open_left = IntervalSet::Of(
+      Interval{IntervalBound{I(0), true}, IntervalBound{I(1), false}});
+  EXPECT_FALSE(closed.Intersects(open_right));
+  EXPECT_FALSE(open_right.Intersects(closed));
+  EXPECT_FALSE(closed.Intersects(open_left));
+  EXPECT_TRUE(closed.Intersects(IntervalSet::Of(Interval::Point(I(2)))));
+  EXPECT_TRUE(closed.Intersects(IntervalSet::Of(Interval::Closed(I(2), I(9)))));
+  auto below = IntervalSet::Of(Interval::LessThan(I(5), false));
+  auto from = IntervalSet::Of(Interval::GreaterThan(I(5), true));
+  EXPECT_FALSE(below.Intersects(from));
+  EXPECT_TRUE(IntervalSet::All().Intersects(closed));
+  EXPECT_FALSE(IntervalSet::Empty().Intersects(IntervalSet::All()));
+}
+
+// Property: Intersects equals !Intersect(other).IsEmpty() on random sets
+// of open, closed, half-open, unbounded and point intervals whose endpoints
+// come from a small pool, so shared and touching endpoints are common.
+TEST(IntervalSetTest, IntersectsAgreesWithIntersectOnRandomSets) {
+  const std::vector<std::function<Value(int)>> kinds = {
+      [](int k) { return Value::Int(k); },
+      [](int k) { return Value::Double(k * 0.5); },
+      [](int k) {
+        return Value::String(std::string(1, static_cast<char>('a' + k)));
+      },
+  };
+  std::mt19937 rng(20260417);
+  std::uniform_int_distribution<int> point(0, 6);
+  std::uniform_int_distribution<int> shape(0, 9);
+  std::uniform_int_distribution<int> count(0, 3);
+  for (const auto& make : kinds) {
+    auto random_interval = [&]() -> Interval {
+      int lo = point(rng), hi = point(rng);
+      if (lo > hi) std::swap(lo, hi);
+      const bool lo_in = rng() % 2 == 0, hi_in = rng() % 2 == 0;
+      std::optional<IntervalBound> lo_bound = IntervalBound{make(lo), lo_in};
+      std::optional<IntervalBound> hi_bound = IntervalBound{make(hi), hi_in};
+      switch (shape(rng)) {
+        case 0:
+          return Interval::Point(make(lo));
+        case 1:
+          return Interval{std::nullopt, hi_bound};
+        case 2:
+          return Interval{lo_bound, std::nullopt};
+        case 3:
+          return Interval::All();
+        default:
+          return Interval{lo_bound, hi_bound};
+      }
+    };
+    auto random_set = [&] {
+      std::vector<Interval> pieces;
+      for (int k = count(rng); k > 0; --k) pieces.push_back(random_interval());
+      return IntervalSet::OfAll(std::move(pieces));
+    };
+    for (int round = 0; round < 2000; ++round) {
+      const IntervalSet a = random_set();
+      const IntervalSet b = random_set();
+      const bool expect = !a.Intersect(b).IsEmpty();
+      EXPECT_EQ(a.Intersects(b), expect)
+          << a.ToString() << " vs " << b.ToString();
+      EXPECT_EQ(b.Intersects(a), expect)
+          << b.ToString() << " vs " << a.ToString();
+    }
   }
 }
 
