@@ -157,12 +157,14 @@ echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # loop racing worker threads, /stats snapshotting a live board. TSan the
 # suites that exercise those interleavings (plus the backoff/fault
 # primitives they are built from); the full matrix stays with ASan above.
+# MatrixBuilderTest runs 4-thread builds whose pool tasks share one
+# prepared log (result and access-area rows point into the measure memo).
 cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j"$JOBS" \
       --target dpe_engine_tests dpe_common_tests
 (cd build-tsan && ./dpe_engine_tests \
-      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*')
+      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:MatrixBuilderTest.*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
 # The OPE image memo and the keyring's lazy per-purpose maps: threads

@@ -70,24 +70,25 @@ Result<std::unique_ptr<PreparedLog>> AccessAreaDistance::Prepare(
     cached_domains_ = context.domains;
     cached_domain_snapshot_ = context.domains->all();
   }
-  DPE_ASSIGN_OR_RETURN(FeatureRows features,
-                       FeatureRows::Resolve(queries, context));
+  std::unique_ptr<FeatureCache> owned;
+  DPE_ASSIGN_OR_RETURN(std::vector<const QueryFeatures*> features,
+                       ResolveFeatures(queries, context, &owned));
   std::vector<const AreaMap*> rows;
   rows.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto it = cache_.find(features[q].sql);
+    auto it = cache_.find(features[q]->sql);
     if (it == cache_.end()) {
       DPE_ASSIGN_OR_RETURN(
           AreaMap areas,
           db::AccessAreas(*queries[q], *context.domains, options_.extraction));
-      it = cache_.emplace(features[q].sql, std::move(areas)).first;
+      it = cache_.emplace(features[q]->sql, std::move(areas)).first;
     }
     rows.push_back(&it->second);
   }
-  return MakePreparedRows(std::move(rows),
-                          [x = options_.x](const AreaMap* a1, const AreaMap* a2) {
-                            return AreaDistance(*a1, *a2, x);
-                          });
+  return MakePreparedRows(
+      std::move(rows), [x = options_.x](const AreaMap* a1, const AreaMap* a2) {
+        return AreaDistance(*a1, *a2, x);
+      });
 }
 
 }  // namespace dpe::distance

@@ -103,28 +103,24 @@ Result<FeatureCache> FeatureCache::Compute(
   return Intern(queries, std::move(raw));
 }
 
-Result<FeatureRows> FeatureRows::Resolve(
+Result<std::vector<const QueryFeatures*>> ResolveFeatures(
     const std::vector<const sql::SelectQuery*>& queries,
-    const MeasureContext& context) {
-  FeatureRows out;
-  out.rows_.reserve(queries.size());
+    const MeasureContext& context, std::unique_ptr<FeatureCache>* owned) {
+  std::vector<const QueryFeatures*> rows;
+  rows.reserve(queries.size());
   if (context.features != nullptr) {
     for (const sql::SelectQuery* q : queries) {
       const QueryFeatures* f = context.features->Find(*q);
       if (f == nullptr) break;
-      out.rows_.push_back(f);
+      rows.push_back(f);
     }
-    if (out.rows_.size() == queries.size()) return out;
-    out.rows_.clear();
+    if (rows.size() == queries.size()) return rows;
+    rows.clear();
   }
-  // Ids are only comparable within one cache, so a list the context's
-  // cache does not fully cover is extracted here as a whole.
   DPE_ASSIGN_OR_RETURN(FeatureCache cache, FeatureCache::Compute(queries));
-  out.owned_ = std::make_unique<FeatureCache>(std::move(cache));
-  for (size_t q = 0; q < queries.size(); ++q) {
-    out.rows_.push_back(&out.owned_->at(q));
-  }
-  return out;
+  *owned = std::make_unique<FeatureCache>(std::move(cache));
+  for (size_t q = 0; q < queries.size(); ++q) rows.push_back(&(*owned)->at(q));
+  return rows;
 }
 
 }  // namespace dpe::distance

@@ -35,9 +35,9 @@
 // FeatureCache::Compute does both serially.
 //
 // The bottom of this file is the plumbing the built-in measures' Prepare
-// shares: FeatureRows (the per-row features of a list being prepared) and
-// PreparedRows (the one PreparedLog implementation: a row per query and a
-// cell function over two rows).
+// shares: ResolveFeatures (the per-row features of a list being prepared)
+// and PreparedRows (the one PreparedLog implementation: a row per query and
+// a cell function over two rows).
 
 #ifndef DPE_DISTANCE_FEATURES_H_
 #define DPE_DISTANCE_FEATURES_H_
@@ -141,25 +141,13 @@ class FeatureCache {
   std::vector<uint32_t> arena_;
 };
 
-/// The features of each query of a list being prepared: the context's
-/// cache when it covers every query, else a cache extracted here and owned.
-class FeatureRows {
- public:
-  static Result<FeatureRows> Resolve(
-      const std::vector<const sql::SelectQuery*>& queries,
-      const MeasureContext& context);
-
-  const QueryFeatures& operator[](size_t i) const { return *rows_[i]; }
-  size_t size() const { return rows_.size(); }
-
-  /// The cache extracted here (null when the context's served). A prepared
-  /// log that keeps spans of these features must keep this alive.
-  std::unique_ptr<FeatureCache> TakeOwned() { return std::move(owned_); }
-
- private:
-  std::vector<const QueryFeatures*> rows_;
-  std::unique_ptr<FeatureCache> owned_;
-};
+/// The features of each of `queries`: from context.features when it covers
+/// every query, else from a cache extracted here into `*owned` (ids are
+/// only comparable within one cache). A prepared log that keeps spans of
+/// them must keep `*owned` alive.
+Result<std::vector<const QueryFeatures*>> ResolveFeatures(
+    const std::vector<const sql::SelectQuery*>& queries,
+    const MeasureContext& context, std::unique_ptr<FeatureCache>* owned);
 
 /// The PreparedLog of every built-in measure: one Row per query (a span,
 /// a view or a pointer into the measure's memo), a cell function over two
@@ -196,15 +184,13 @@ template <typename RowOf, typename Cell>
 Result<std::unique_ptr<PreparedLog>> PrepareFeatureRows(
     const std::vector<const sql::SelectQuery*>& queries,
     const MeasureContext& context, RowOf row_of, Cell cell) {
-  DPE_ASSIGN_OR_RETURN(FeatureRows features,
-                       FeatureRows::Resolve(queries, context));
+  std::unique_ptr<FeatureCache> owned;
+  DPE_ASSIGN_OR_RETURN(std::vector<const QueryFeatures*> features,
+                       ResolveFeatures(queries, context, &owned));
   std::vector<std::invoke_result_t<RowOf, const QueryFeatures&>> rows;
   rows.reserve(features.size());
-  for (size_t q = 0; q < features.size(); ++q) {
-    rows.push_back(row_of(features[q]));
-  }
-  return MakePreparedRows(std::move(rows), std::move(cell),
-                          features.TakeOwned());
+  for (const QueryFeatures* f : features) rows.push_back(row_of(*f));
+  return MakePreparedRows(std::move(rows), std::move(cell), std::move(owned));
 }
 
 }  // namespace dpe::distance

@@ -45,13 +45,14 @@ Result<std::unique_ptr<PreparedLog>> ResultDistance::Prepare(
     return Status::InvalidArgument(
         "result distance requires the database content (Table I)");
   }
-  DPE_ASSIGN_OR_RETURN(FeatureRows features,
-                       FeatureRows::Resolve(queries, context));
+  std::unique_ptr<FeatureCache> owned;
+  DPE_ASSIGN_OR_RETURN(std::vector<const QueryFeatures*> features,
+                       ResolveFeatures(queries, context, &owned));
   std::vector<std::span<const uint32_t>> rows;
   rows.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     DPE_ASSIGN_OR_RETURN(const std::vector<uint32_t>* ids,
-                         TupleIdsOf(*queries[q], features[q].sql, context));
+                         TupleIdsOf(*queries[q], features[q]->sql, context));
     rows.emplace_back(*ids);
   }
   return MakePreparedRows(
