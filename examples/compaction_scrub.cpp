@@ -102,34 +102,39 @@ int main() {
   }
 
   // --- Session 2: scrub_on_load quarantines + recomputes. -----------------
-  engine::EngineOptions healing = options;
-  healing.scrub_on_load = true;
-  engine::Engine engine(scenario->Context(), healing);
-  engine::CheckpointLoadReport report;
-  if (!engine.LoadCheckpoint(dir, &report).ok()) {
-    std::fprintf(stderr, "FATAL: self-healing load failed\n");
-    return 1;
-  }
-  std::printf("healing load: scrubbed=%s, %llu cells quarantined, %llu "
-              "recomputed\n",
-              report.scrubbed ? "yes" : "no",
-              static_cast<unsigned long long>(report.cells_quarantined),
-              static_cast<unsigned long long>(report.cells_recomputed));
-  if (!report.scrubbed || report.cells_quarantined == 0) {
-    std::fprintf(stderr, "FATAL: the scrub did not engage\n");
-    return 1;
-  }
+  // Scoped so the engine (and the compaction its rebuild schedules) is
+  // gone before the directory is removed.
+  {
+    engine::EngineOptions healing = options;
+    healing.scrub_on_load = true;
+    engine::Engine engine(scenario->Context(), healing);
+    engine::CheckpointLoadReport report;
+    if (!engine.LoadCheckpoint(dir, &report).ok()) {
+      std::fprintf(stderr, "FATAL: self-healing load failed\n");
+      return 1;
+    }
+    std::printf("healing load: scrubbed=%s, %llu cells quarantined, %llu "
+                "recomputed\n",
+                report.scrubbed ? "yes" : "no",
+                static_cast<unsigned long long>(report.cells_quarantined),
+                static_cast<unsigned long long>(report.cells_recomputed));
+    if (!report.scrubbed || report.cells_quarantined == 0) {
+      std::fprintf(stderr, "FATAL: the scrub did not engage\n");
+      return 1;
+    }
 
-  auto rebuilt = engine.BuildMatrix("token");
-  if (!rebuilt.ok()) return 1;
-  auto delta = distance::DistanceMatrix::MaxAbsDifference(reference, *rebuilt);
-  if (!delta.ok() || *delta != 0.0) {
-    std::fprintf(stderr, "FATAL: recomputed matrix differs from the "
-                         "pre-corruption state\n");
-    return 1;
+    auto rebuilt = engine.BuildMatrix("token");
+    if (!rebuilt.ok()) return 1;
+    auto delta =
+        distance::DistanceMatrix::MaxAbsDifference(reference, *rebuilt);
+    if (!delta.ok() || *delta != 0.0) {
+      std::fprintf(stderr, "FATAL: recomputed matrix differs from the "
+                           "pre-corruption state\n");
+      return 1;
+    }
+    std::printf("verified: recomputed matrix is bit-identical to the "
+                "pre-corruption build\n");
   }
-  std::printf("verified: recomputed matrix is bit-identical to the "
-              "pre-corruption build\n");
 
   std::filesystem::remove_all(dir);
   return 0;

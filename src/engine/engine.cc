@@ -235,12 +235,13 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
   }
 
   // Copy the stored rows out under the memo lock; the rows past them are
-  // the build's work.
-  distance::DistanceMatrix m(n);
+  // the build's work. The stage includes materializing the n x n matrix
+  // they are copied into (page faults on a fresh allocation).
   size_t stored = 0;
   uint64_t epoch = 0;
   obs::TraceSpan scan_span("build.cache_scan", &trace_,
                            &stage_hist("cache_scan"));
+  distance::DistanceMatrix m(n);
   {
     MutexLock lock(memo_mu_);
     epoch = memo_epoch_;
