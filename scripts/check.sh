@@ -140,16 +140,18 @@ wait "$SERVE_PID" 2>/dev/null || true
 cat observability_out/serve_log.txt
 ls -l observability_out/scraped_metrics.prom observability_out/healthz.json
 
-echo "== sanitizers: asan+ubsan on engine/distance/store/crypto/cryptdb/core tests =="
+echo "== sanitizers: asan+ubsan on engine/distance/store/crypto/cryptdb/core/mining tests =="
 # crypto/cryptdb/core cover the owner's encryption path: keyed HMAC
-# contexts, the OPE image memo and the per-purpose keyrings.
+# contexts, the OPE image memo and the per-purpose keyrings. mining covers
+# the miners' packed-triangle index arithmetic, whose unchecked accessors
+# debug-assert only in this (Debug) build.
 cmake -B build-asan -S . -DDPE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j"$JOBS" \
       --target dpe_engine_tests dpe_distance_tests dpe_store_tests \
-      dpe_crypto_tests dpe_cryptdb_tests dpe_core_tests
+      dpe_crypto_tests dpe_cryptdb_tests dpe_core_tests dpe_mining_tests
 ctest --test-dir build-asan --output-on-failure \
-      -R '^(engine|distance|store|crypto|cryptdb|core)$'
+      -R '^(engine|distance|store|crypto|cryptdb|core|mining)$'
 
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:

@@ -1,6 +1,7 @@
 #include "distance/matrix.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 namespace dpe::distance {
@@ -16,24 +17,50 @@ Status IndexError(const char* what, size_t i, size_t j, size_t n) {
 
 }  // namespace
 
+Result<DistanceMatrix> DistanceMatrix::FromPacked(
+    size_t n, std::vector<double>&& packed) {
+  if (packed.size() != TriangleCells(n)) {
+    return Status::InvalidArgument(
+        "DistanceMatrix::FromPacked: " + std::to_string(packed.size()) +
+        " cells for n = " + std::to_string(n));
+  }
+  DistanceMatrix m;
+  m.n_ = n;
+  m.cells_ = std::move(packed);
+  return m;
+}
+
+void DistanceMatrix::GatherRow(size_t i, double* out) const {
+  assert(i < n_ && "DistanceMatrix::GatherRow out of range");
+  const double* cells = cells_.data();
+  if (i > 0) std::memcpy(out, cells + TriangleCells(i), i * sizeof(double));
+  out[i] = 0.0;
+  // Row j > i starts at TriangleCells(j), j cells past row j - 1's start.
+  size_t at = TriangleCells(i + 1) + i;
+  for (size_t j = i + 1; j < n_; at += j, ++j) out[j] = cells[at];
+}
+
 Result<double> DistanceMatrix::At(size_t i, size_t j) const {
   if (i >= n_ || j >= n_) return IndexError("DistanceMatrix::At", i, j, n_);
-  return cells_[i * n_ + j];
+  return AtUnchecked(i, j);
 }
 
 Status DistanceMatrix::Set(size_t i, size_t j, double d) {
   if (i >= n_ || j >= n_) return IndexError("DistanceMatrix::Set", i, j, n_);
-  cells_[i * n_ + j] = d;
-  cells_[j * n_ + i] = d;
+  if (i == j) {
+    if (d == 0.0) return Status::OK();
+    return Status::InvalidArgument("DistanceMatrix::Set: diagonal cell (" +
+                                   std::to_string(i) + ", " +
+                                   std::to_string(i) + ") is always 0");
+  }
+  SetUnchecked(i, j, d);
   return Status::OK();
 }
 
-Status DistanceMatrix::CheckFiniteRows(size_t begin_row,
-                                       size_t end_row) const {
-  for (size_t i = begin_row; i < end_row && i < n_; ++i) {
-    const double* row = RowUnchecked(i);
-    for (size_t j = 0; j < n_; ++j) {
-      if (!std::isfinite(row[j])) {
+Status DistanceMatrix::CheckFinite() const {
+  for (size_t i = 1, k = 0; i < n_; ++i) {
+    for (size_t j = 0; j < i; ++j, ++k) {
+      if (!std::isfinite(cells_[k])) {
         return Status::InvalidArgument("distance(" + std::to_string(i) + ", " +
                                        std::to_string(j) + ") is not finite");
       }
@@ -48,38 +75,10 @@ Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
     return Status::InvalidArgument("matrix size mismatch");
   }
   double max_diff = 0.0;
-  for (size_t i = 0; i < a.cells_.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a.cells_[i] - b.cells_[i]));
+  for (size_t k = 0; k < a.cells_.size(); ++k) {
+    max_diff = std::max(max_diff, std::fabs(a.cells_[k] - b.cells_[k]));
   }
   return max_diff;
-}
-
-std::vector<double> DistanceMatrix::UpperTriangle() const {
-  std::vector<double> upper;
-  upper.reserve(n_ * (n_ - 1) / 2);
-  for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = i + 1; j < n_; ++j) {
-      upper.push_back(cells_[i * n_ + j]);
-    }
-  }
-  return upper;
-}
-
-Result<DistanceMatrix> DistanceMatrix::FromUpperTriangle(
-    size_t n, const std::vector<double>& upper) {
-  if (upper.size() != n * (n - 1) / 2) {
-    return Status::InvalidArgument(
-        "DistanceMatrix::FromUpperTriangle: " + std::to_string(upper.size()) +
-        " cells for n = " + std::to_string(n));
-  }
-  DistanceMatrix m(n);
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      m.set(i, j, upper[k++]);
-    }
-  }
-  return m;
 }
 
 Result<DistanceMatrix> DistanceMatrix::Compute(
@@ -88,10 +87,10 @@ Result<DistanceMatrix> DistanceMatrix::Compute(
   DPE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedLog> log,
                        measure.Prepare(QueryList(queries), context));
   DistanceMatrix m(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t j = i + 1; j < queries.size(); ++j) {
-      m.set(i, j, log->Distance(i, j));
-    }
+  // Packed order: row j holds Distance(i, j) for i < j, smaller index first.
+  double* cell = m.cells_.data();
+  for (size_t j = 1; j < queries.size(); ++j) {
+    for (size_t i = 0; i < j; ++i) *cell++ = log->Distance(i, j);
   }
   return m;
 }

@@ -234,20 +234,23 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     return m;
   }
 
-  // Copy the stored rows out under the memo lock; the rows past them are
-  // the build's work. The stage includes materializing the n x n matrix
-  // they are copied into (page faults on a fresh allocation).
+  // The matrix is the memo's layout: copy the stored prefix out under the
+  // memo lock with one memcpy; the rows past it are the build's work and
+  // land after it. The stage includes the allocation.
   size_t stored = 0;
   uint64_t epoch = 0;
   obs::TraceSpan scan_span("build.cache_scan", &trace_,
                            &stage_hist("cache_scan"));
-  distance::DistanceMatrix m(n);
+  std::vector<double> cells;
+  cells.reserve(store::TriangleCells(n));
   {
     MutexLock lock(memo_mu_);
     epoch = memo_epoch_;
     if (auto it = memo_.find(measure_name); it != memo_.end()) {
       stored = std::min<size_t>(it->second.rows, n);
-      ExpandRows(it->second.cells.data(), 0, stored, m);
+      const double* prefix = it->second.cells.data();
+      cells.insert(cells.end(), prefix,
+                   prefix + store::TriangleCells(stored));
     }
   }
   scan_span.End();
@@ -255,13 +258,15 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
   report.cells_cached = store::TriangleCells(stored);
   report.cells_computed = report.cells_total - report.cells_cached;
   memo_hits_.fetch_add(report.cells_cached, std::memory_order_relaxed);
-  if (stored == n) return m;
+  if (stored == n) {
+    return distance::DistanceMatrix::FromPacked(n, std::move(cells));
+  }
 
   obs::TraceSpan compute_span("build.compute", &trace_,
                               &stage_hist("compute"));
   DPE_ASSIGN_OR_RETURN(std::vector<double> rows,
                        builder.BuildRows(queries, measure, context_, stored));
-  ExpandRows(rows.data(), stored, n, m);
+  cells.insert(cells.end(), rows.begin(), rows.end());
   compute_span.End();
   report.stages.push_back({"compute", compute_span.elapsed_ms()});
   memo_misses_.fetch_add(report.cells_computed, std::memory_order_relaxed);
@@ -291,7 +296,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     journal_span.End();
     report.stages.push_back({"journal", journal_span.elapsed_ms()});
   }
-  return m;
+  return distance::DistanceMatrix::FromPacked(n, std::move(cells));
 }
 
 Status Engine::JournalRows(const std::string& measure_name, size_t row_begin,
@@ -336,10 +341,7 @@ void Engine::InstallMemo(const std::string& measure_name,
   if (!options_.enable_cache) return;
   store::Triangle triangle;
   triangle.rows = m.size();
-  triangle.cells.reserve(store::TriangleCells(m.size()));
-  for (size_t i = 1; i < m.size(); ++i) {
-    for (size_t j = 0; j < i; ++j) triangle.cells.push_back(m.AtUnchecked(j, i));
-  }
+  triangle.cells.assign(m.packed().begin(), m.packed().end());
   MutexLock lock(memo_mu_);
   memo_[measure_name] = std::move(triangle);
 }

@@ -65,9 +65,7 @@ Result<distance::DistanceMatrix> MatrixBuilder::Build(
     const distance::MeasureContext& context) const {
   DPE_ASSIGN_OR_RETURN(std::vector<double> rows,
                        BuildRows(queries, measure, context, 0));
-  distance::DistanceMatrix m(queries.size());
-  ExpandRows(rows.data(), 0, queries.size(), m);
-  return m;
+  return distance::DistanceMatrix::FromPacked(queries.size(), std::move(rows));
 }
 
 Result<std::vector<double>> MatrixBuilder::BuildRows(
@@ -162,22 +160,6 @@ Result<std::vector<double>> MatrixBuilder::BuildRows(
   return rows;
 }
 
-void ExpandRows(const double* packed, size_t row_begin, size_t row_end,
-                distance::DistanceMatrix& m) {
-  // Each cell lands twice: in row i (sequential) and in column i of row j
-  // (strided). Blocking the columns keeps the 64 destination rows of the
-  // strided writes cache-resident while i sweeps down the triangle.
-  constexpr size_t kColumnBlock = 64;
-  const uint64_t base = store::TriangleCells(row_begin);
-  for (size_t jb = 0; jb + 1 < row_end; jb += kColumnBlock) {
-    for (size_t i = std::max(row_begin, jb + 1); i < row_end; ++i) {
-      const double* row = packed + (store::TriangleCells(i) - base);
-      const size_t j_end = std::min(jb + kColumnBlock, i);
-      for (size_t j = jb; j < j_end; ++j) m.SetUnchecked(i, j, row[j]);
-    }
-  }
-}
-
 Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
     const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
@@ -240,7 +222,7 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
 
   distance::DistanceMatrix m(n);
   // One tile per chunk. Cell (i, j), i < j, belongs to exactly one tile,
-  // and SetUnchecked mirrors into (j, i) which no other tile touches.
+  // so no two tasks write the same packed cell.
   obs::TraceSpan tiles_span(
       "build.tiles", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "tiles"}}));

@@ -13,6 +13,8 @@
 // one pool task per band of rows balanced by cell count, columns blocked
 // by `block` inside each band. A cold build is BuildRows from row 0; an
 // incremental build after AddQuery is BuildRows from the memo's row count.
+// distance::DistanceMatrix stores the same packed triangle, so a build's
+// rows become the matrix as they are: nothing expands them to n x n.
 // BuildTiles covers the shard path's tile ranges. Every cell is
 // PreparedLog::Distance with the smaller index first — the call the
 // serial DistanceMatrix::Compute makes — so the parallel result is
@@ -66,7 +68,8 @@ class MatrixBuilder {
                          MatrixBuilderOptions options = {})
       : pool_(pool), options_(options) {}
 
-  /// Full pairwise matrix over `queries`: BuildRows from row 0, expanded.
+  /// Full pairwise matrix over `queries`: BuildRows from row 0, adopted as
+  /// the matrix's packed cells without a copy.
   Result<distance::DistanceMatrix> Build(
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
@@ -122,11 +125,6 @@ class MatrixBuilder {
   common::ThreadPool* pool_;  ///< not owned
   MatrixBuilderOptions options_;
 };
-
-/// Writes rows [row_begin, row_end) of a packed lower triangle (`packed`
-/// starts at row row_begin) into both halves of `m`.
-void ExpandRows(const double* packed, size_t row_begin, size_t row_end,
-                distance::DistanceMatrix& m);
 
 }  // namespace dpe::engine
 

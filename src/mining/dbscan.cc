@@ -17,6 +17,16 @@ Result<DbscanResult> Dbscan(const distance::DistanceMatrix& m,
   result.labels.assign(n, -1);
   std::vector<bool> visited(n, false);
 
+  // Point p's neighbourhood, index ascending, from its gathered row (which
+  // includes p itself at distance 0).
+  auto scan = [&](size_t p, std::vector<double>& row,
+                  std::vector<size_t>& out) {
+    m.GatherRow(p, row.data());
+    for (size_t q = 0; q < n; ++q) {
+      if (row[q] <= options.epsilon) out.push_back(q);
+    }
+  };
+
   // With a pool, precompute all neighborhood lists up front — every list
   // built by one task in index order, so it equals the lazy scan — and
   // accept the O(sum of neighborhood sizes) memory. Without one, keep the
@@ -26,24 +36,20 @@ Result<DbscanResult> Dbscan(const distance::DistanceMatrix& m,
   if (precomputed) {
     MaybeParallelFor(options.pool, 0, n, MiningGrain(n, options.pool),
                      [&](size_t begin, size_t end) {
+                       std::vector<double> row(n);
                        for (size_t p = begin; p < end; ++p) {
-                         for (size_t q = 0; q < n; ++q) {
-                           if (m.AtUnchecked(p, q) <= options.epsilon) {
-                             precompute[p].push_back(q);  // includes p
-                           }
-                         }
+                         scan(p, row, precompute[p]);
                        }
                      });
   }
   uint64_t scans = precomputed ? n : 0;  // every list built exactly once
+  std::vector<double> lazy_row(precomputed ? 0 : n);
   std::vector<size_t> lazy;
   auto neighbors = [&](size_t p) -> const std::vector<size_t>& {
     if (precomputed) return precompute[p];
     ++scans;
     lazy.clear();
-    for (size_t q = 0; q < n; ++q) {
-      if (m.AtUnchecked(p, q) <= options.epsilon) lazy.push_back(q);
-    }
+    scan(p, lazy_row, lazy);
     return lazy;
   };
 

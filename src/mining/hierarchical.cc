@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 
 namespace dpe::mining {
 
@@ -22,14 +23,14 @@ Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
   if (n < 2) return out;
 
   // Cluster-to-cluster links by slot, as a packed lower triangle: slot x > y
-  // holds d(x, y) at x(x-1)/2 + y. A leaf starts in the slot of its index;
-  // a merge reuses the slot of its left (smaller-id) cluster. The initial
-  // link is max(0, cell), the floor the member-list definition starts from.
-  std::vector<double> tri(n * (n - 1) / 2);
-  for (size_t x = 1; x < n; ++x) {
-    const double* row = m.RowUnchecked(x);
-    double* dst = tri.data() + x * (x - 1) / 2;
-    for (size_t y = 0; y < x; ++y) dst[y] = std::max(0.0, row[y]);
+  // holds d(x, y) at x(x-1)/2 + y — the matrix's own layout. A leaf starts
+  // in the slot of its index; a merge reuses the slot of its left
+  // (smaller-id) cluster. The initial link is max(0, cell), the floor the
+  // member-list definition starts from.
+  const std::span<const double> cells = m.packed();
+  std::vector<double> tri(cells.size());
+  for (size_t k = 0; k < cells.size(); ++k) {
+    tri[k] = std::max(0.0, cells[k]);
   }
   auto link = [&tri](size_t x, size_t y) -> double& {
     if (x < y) std::swap(x, y);

@@ -20,21 +20,26 @@ Result<KMedoidsResult> KMedoids(const distance::DistanceMatrix& m,
 
   // Park-Jun initialization: v_j = sum_i d_ij / (sum_l d_il); take the k
   // smallest v_j as initial medoids. Each row/column sum is produced by one
-  // task in the serial inner order, so the doubles match the serial path.
+  // task over a gathered row, index ascending — the serial inner order — so
+  // the doubles match the serial path. Column j is row j (symmetry).
   std::vector<double> row_sums(n, 0.0);
   MaybeParallelFor(pool, 0, n, grain, [&](size_t begin, size_t end) {
+    std::vector<double> row(n);
     for (size_t i = begin; i < end; ++i) {
+      m.GatherRow(i, row.data());
       double sum = 0.0;
-      for (size_t j = 0; j < n; ++j) sum += m.AtUnchecked(i, j);
+      for (size_t j = 0; j < n; ++j) sum += row[j];
       row_sums[i] = sum;
     }
   });
   std::vector<double> v(n, 0.0);
   MaybeParallelFor(pool, 0, n, grain, [&](size_t begin, size_t end) {
+    std::vector<double> column(n);
     for (size_t j = begin; j < end; ++j) {
+      m.GatherRow(j, column.data());
       double sum = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        if (row_sums[i] > 0) sum += m.AtUnchecked(i, j) / row_sums[i];
+        if (row_sums[i] > 0) sum += column[i] / row_sums[i];
       }
       v[j] = sum;
     }
@@ -82,11 +87,13 @@ Result<KMedoidsResult> KMedoids(const distance::DistanceMatrix& m,
     // cluster, members in index order) is a parallel map; the argmin scan
     // stays serial, candidates ascending, strict < — ties to lower index.
     MaybeParallelFor(pool, 0, n, grain, [&](size_t begin, size_t end) {
+      std::vector<double> row(n);
       for (size_t candidate = begin; candidate < end; ++candidate) {
         const int c = result.labels[candidate];
+        m.GatherRow(candidate, row.data());
         double sum = 0.0;
         for (size_t i = 0; i < n; ++i) {
-          if (result.labels[i] == c) sum += m.AtUnchecked(candidate, i);
+          if (result.labels[i] == c) sum += row[i];
         }
         cost[candidate] = sum;
       }

@@ -1,9 +1,11 @@
 #include "mining/knn.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "common/simd.h"
 
@@ -15,13 +17,18 @@ Result<std::vector<size_t>> NearestNeighbors(
   const size_t n = m.size();
   if (i >= n) return Status::OutOfRange("point index out of range");
   if (k >= n) return Status::InvalidArgument("k must be < n");
-  // Row i is all the selection reads; the stable sort below is undefined on
-  // NaN-poisoned comparisons.
-  DPE_RETURN_NOT_OK(m.CheckFiniteRows(i, i + 1));
-  // Snapshot row i once: the selection below then reads a flat array
-  // instead of doing 2-4 matrix accesses per comparison.
+  // Gather row i once: the selection below then reads a contiguous array
+  // (the SIMD argmin's input) instead of doing matrix accesses per
+  // comparison. The row is all it reads, and the stable sort is undefined
+  // on NaN-poisoned comparisons, so only the row must be finite.
   std::vector<double> row(n);
-  for (size_t j = 0; j < n; ++j) row[j] = m.AtUnchecked(i, j);
+  m.GatherRow(i, row.data());
+  for (size_t j = 0; j < n; ++j) {
+    if (!std::isfinite(row[j])) {
+      return Status::InvalidArgument("distance(" + std::to_string(i) + ", " +
+                                     std::to_string(j) + ") is not finite");
+    }
+  }
 
   if (4 * k < n) {
     // Small k (the usual kNN case): k rounds of the vectorized argmin

@@ -1,5 +1,9 @@
 #include "mining/outlier.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+
 #include "mining/parallel_util.h"
 
 namespace dpe::mining {
@@ -13,26 +17,47 @@ Result<OutlierResult> DistanceBasedOutliers(const distance::DistanceMatrix& m,
   const size_t n = m.size();
   OutlierResult result;
   result.is_outlier.assign(n, false);
-  // Parallel map over points (std::vector<bool> is not safe for concurrent
-  // element writes, so flags land in a plain byte vector first).
-  std::vector<unsigned char> flags(n, 0);
-  MaybeParallelFor(options.pool, 0, n, MiningGrain(n, options.pool),
-                   [&](size_t begin, size_t end) {
-                     for (size_t i = begin; i < end; ++i) {
-                       size_t far = 0;
-                       for (size_t j = 0; j < n; ++j) {
-                         if (j == i) continue;
-                         if (m.AtUnchecked(i, j) > options.d) ++far;
-                       }
-                       const size_t others = n > 0 ? n - 1 : 0;
-                       if (others == 0) continue;
-                       double fraction = static_cast<double>(far) /
-                                         static_cast<double>(others);
-                       if (fraction >= options.p) flags[i] = 1;
-                     }
-                   });
-  for (size_t i = 0; i < n; ++i) {
-    if (flags[i] != 0) {
+  // far[i] counts the j != i with d(i, j) > D. The counts are integers, so
+  // any traversal order is exact: walk the packed triangle in contiguous
+  // row runs and credit both ends of each far pair. With a pool, each band
+  // of rows (balanced by cell count; row i holds i cells) counts into its
+  // own array, and the arrays are summed afterwards.
+  const std::span<const double> cells = m.packed();
+  const size_t bands =
+      options.pool != nullptr && n > 1
+          ? std::min(n - 1, options.pool->thread_count())
+          : 1;
+  std::vector<size_t> bounds{1};
+  for (size_t b = 1; b < bands; ++b) {
+    const uint64_t target = cells.size() * b / bands;
+    size_t row = bounds.back();
+    while (row < n && distance::TriangleCells(row + 1) <= target) ++row;
+    bounds.push_back(row);
+  }
+  bounds.push_back(std::max<size_t>(n, 1));
+  std::vector<std::vector<uint32_t>> far(bands, std::vector<uint32_t>(n, 0));
+  MaybeParallelFor(options.pool, 0, bands, 1, [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      uint32_t* counts = far[b].data();
+      for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
+        const double* row = cells.data() + distance::TriangleCells(i);
+        uint32_t row_far = 0;
+        for (size_t j = 0; j < i; ++j) {
+          const bool is_far = row[j] > options.d;
+          row_far += is_far;
+          counts[j] += is_far;
+        }
+        counts[i] += row_far;
+      }
+    }
+  });
+  const size_t others = n > 0 ? n - 1 : 0;
+  for (size_t i = 0; i < n && others > 0; ++i) {
+    size_t count = 0;
+    for (size_t b = 0; b < bands; ++b) count += far[b][i];
+    const double fraction =
+        static_cast<double>(count) / static_cast<double>(others);
+    if (fraction >= options.p) {
       result.is_outlier[i] = true;
       result.outliers.push_back(i);
     }

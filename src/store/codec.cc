@@ -270,30 +270,6 @@ Status Reader::ExpectEnd() const {
 
 // -- Value codecs ------------------------------------------------------------
 
-void EncodeMatrix(const distance::DistanceMatrix& m, Writer* w) {
-  const size_t n = m.size();
-  w->PutU64(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      w->PutDouble(m.at(i, j));
-    }
-  }
-}
-
-Result<distance::DistanceMatrix> DecodeMatrix(Reader* r) {
-  DPE_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
-  // Validate the declared size against the bytes present before allocating:
-  // n*(n-1)/2 doubles of 8 bytes each must still be in the input.
-  if (n != 0 && (n - 1) > r->remaining() / 4 / n) {
-    return Status::ParseError(
-        "store codec: matrix declares n = " + std::to_string(n) +
-        " but only " + std::to_string(r->remaining()) + " bytes remain");
-  }
-  std::vector<double> upper(TriangleCells(n));
-  DPE_RETURN_NOT_OK(r->ReadDoubles(upper));
-  return distance::DistanceMatrix::FromUpperTriangle(n, upper);
-}
-
 void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w) {
   w->PutU64(meta.query_count);
   w->PutU32(static_cast<uint32_t>(meta.measures.size()));

@@ -12,7 +12,7 @@
 // cannot trigger a multi-gigabyte allocation.
 //
 // On top of the primitives sit the value codecs for the store's core types
-// (DistanceMatrix, snapshot metadata, shard/compaction manifests) and two
+// (snapshot metadata, shard/compaction manifests) and two
 // framing schemes:
 //
 //   whole-file:  [magic u32][version u32][payload_len u64][crc32 u32][payload]
@@ -37,7 +37,7 @@
 namespace dpe::store {
 
 /// On-disk format version of the files without a version of their own
-/// (standalone matrices, the compaction MANIFEST). Every reader requires
+/// (the compaction MANIFEST). Every reader requires
 /// the exact version it writes: no deployed data predates these formats,
 /// so there are no legacy readers.
 inline constexpr uint32_t kFormatVersion = 1;
@@ -53,10 +53,9 @@ inline constexpr uint32_t kSnapshotFormatVersion = 3;
 /// Journals: a row record carries a triangle row's raw f64 bytes.
 inline constexpr uint32_t kJournalFormatVersion = 2;
 
-/// File magics ("DPES"/"DPEJ"/"DPEM"/"DPEH"/"DPEC" as little-endian u32).
+/// File magics ("DPES"/"DPEJ"/"DPEH"/"DPEC" as little-endian u32).
 inline constexpr uint32_t kSnapshotMagic = 0x53455044;  // "DPES"
 inline constexpr uint32_t kJournalMagic = 0x4a455044;   // "DPEJ"
-inline constexpr uint32_t kMatrixMagic = 0x4d455044;    // "DPEM"
 inline constexpr uint32_t kShardMagic = 0x48455044;     // "DPEH" (sHard)
 inline constexpr uint32_t kManifestMagic = 0x43455044;  // "DPEC" (Compaction)
 
@@ -64,7 +63,7 @@ inline constexpr uint32_t kManifestMagic = 0x43455044;  // "DPEC" (Compaction)
 ///   kNever        — no fsync anywhere; fastest, survives process crashes
 ///                   (the kernel still writes the data back) but a power
 ///                   loss can lose or tear recently written files.
-///   kOnCheckpoint — fsync whole-file frames (snapshot / matrix / shard)
+///   kOnCheckpoint — fsync whole-file frames (snapshot / manifest / shard)
 ///                   before the rename publishes them, but not journal
 ///                   appends. The default, and the long-standing behavior.
 ///   kAlways       — additionally fsync the journal after every append:
@@ -82,11 +81,9 @@ Result<std::string> ReadFileBytes(const std::string& path);
 
 // -- Triangles ---------------------------------------------------------------
 
-/// Cells in the first `rows` rows of a packed lower triangle: row r holds r
-/// cells, so rows(rows - 1) / 2.
-constexpr uint64_t TriangleCells(uint64_t rows) {
-  return rows < 2 ? 0 : rows * (rows - 1) / 2;
-}
+/// Cells in the first `rows` rows of a packed lower triangle (defined next
+/// to distance::DistanceMatrix, which stores exactly this layout).
+using distance::TriangleCells;
 
 /// One measure's distances as a packed lower triangle by rows: row r holds
 /// d(0..r-1, r) starting at offset TriangleCells(r), so a new query's row
@@ -169,11 +166,6 @@ struct SnapshotMeta {
 
   bool operator==(const SnapshotMeta&) const = default;
 };
-
-/// n + upper triangle (row-major, i < j) — half the cells; symmetry and the
-/// zero diagonal are restored on decode.
-void EncodeMatrix(const distance::DistanceMatrix& m, Writer* w);
-Result<distance::DistanceMatrix> DecodeMatrix(Reader* r);
 
 void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w);
 Result<SnapshotMeta> DecodeSnapshotMeta(Reader* r);

@@ -432,7 +432,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
 }
 
 /// Parses "<stem>.dpe" (gen 0) or "<stem>.<g>.dpe" -> g. Returns false for
-/// names that are neither (matrix-/shard-/tmp files).
+/// names that are neither (shard-/tmp files).
 bool ParseGenerationName(const std::string& filename, const std::string& stem,
                          uint64_t* gen) {
   const std::string suffix = ".dpe";
@@ -550,10 +550,6 @@ void MatrixStore::ResolveGenerations() {
   std::error_code ec;
   journal_gen_ =
       fs::exists(JournalPathForGen(gen_ + 1), ec) ? gen_ + 1 : gen_;
-}
-
-std::string MatrixStore::MatrixPath(const std::string& name) const {
-  return (fs::path(dir_) / ("matrix-" + name + ".dpe")).string();
 }
 
 std::string MatrixStore::ShardPath(const std::string& matrix,
@@ -1071,31 +1067,6 @@ Result<ScrubReport> MatrixStore::Scrub() {
     ++mutation_epoch_;  // the rewritten snapshot supersedes in-flight folds
   }
   return report;
-}
-
-// -- Standalone matrices -----------------------------------------------------
-
-Status MatrixStore::WriteMatrix(const std::string& name,
-                                const distance::DistanceMatrix& matrix) {
-  Writer w;
-  w.PutString(name);
-  EncodeMatrix(matrix, &w);
-  return WriteFramedFile(MatrixPath(name), kMatrixMagic, w.buffer());
-}
-
-Result<distance::DistanceMatrix> MatrixStore::ReadMatrix(
-    const std::string& name) const {
-  DPE_ASSIGN_OR_RETURN(std::string payload,
-                       ReadFramedFile(MatrixPath(name), kMatrixMagic));
-  Reader r(payload);
-  DPE_ASSIGN_OR_RETURN(std::string stored_name, r.ReadString());
-  if (stored_name != name) {
-    return Corrupt("matrix file for '" + name + "' declares name '" +
-                   stored_name + "'");
-  }
-  DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix m, DecodeMatrix(&r));
-  DPE_RETURN_NOT_OK(r.ExpectEnd());
-  return m;
 }
 
 // -- Shards ------------------------------------------------------------------

@@ -12,7 +12,6 @@
 //   <dir>/MANIFEST.dpe       tiny CRC'd generation pointer ("DPEC" frame):
 //                            which snapshot generation is current. Absent =
 //                            generation 0, the legacy layout above.
-//   <dir>/matrix-<name>.dpe  standalone finished-matrix snapshots
 //   <dir>/shard-<name>-<i>of<k>.dpe
 //                            one shard of a sharded matrix build: a
 //                            ShardManifest (which tile range of which
@@ -301,13 +300,6 @@ class MatrixStore {
   /// wrong matrix.
   Result<ScrubReport> Scrub();
 
-  // -- Standalone matrices ---------------------------------------------------
-
-  /// Snapshots a finished matrix under `name` ("token", "structure", ...).
-  Status WriteMatrix(const std::string& name,
-                     const distance::DistanceMatrix& matrix);
-  Result<distance::DistanceMatrix> ReadMatrix(const std::string& name) const;
-
   // -- Shards ----------------------------------------------------------------
 
   /// Exports one shard of a sharded build: the manifest plus only the cells
@@ -349,7 +341,6 @@ class MatrixStore {
   std::string SnapshotPathForGen(uint64_t gen) const;
   std::string JournalPathForGen(uint64_t gen) const;
   std::string ManifestPath() const;
-  std::string MatrixPath(const std::string& name) const;
   std::string ShardPath(const std::string& matrix, uint32_t shard_index,
                         uint32_t shard_count) const;
   Result<JournalRecovery> ReadJournalImpl(bool recover_torn_tail) const;

@@ -334,49 +334,6 @@ TEST_F(MatrixStoreTest, FlippedSnapshotByteIsParseError) {
   EXPECT_FALSE(store->ReadSnapshot().ok());
 }
 
-TEST_F(MatrixStoreTest, StandaloneMatrixRoundTrip) {
-  auto store = MatrixStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
-  Rng rng(5);
-  distance::DistanceMatrix m(17);
-  for (size_t i = 0; i < 17; ++i) {
-    for (size_t j = i + 1; j < 17; ++j) {
-      m.set(i, j, rng.NextDouble());
-    }
-  }
-  ASSERT_TRUE(store->WriteMatrix("token", m).ok());
-  auto read = store->ReadMatrix("token");
-  ASSERT_TRUE(read.ok()) << read.status();
-  auto diff = distance::DistanceMatrix::MaxAbsDifference(m, *read);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, 0.0);
-
-  EXPECT_EQ(store->ReadMatrix("structure").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(MatrixStoreTest, UpperTriangleHooksRoundTrip) {
-  distance::DistanceMatrix m(5);
-  double v = 0.0;
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t j = i + 1; j < 5; ++j) {
-      m.set(i, j, v += 0.1);
-    }
-  }
-  std::vector<double> upper = m.UpperTriangle();
-  EXPECT_EQ(upper.size(), 10u);
-  auto rebuilt = distance::DistanceMatrix::FromUpperTriangle(5, upper);
-  ASSERT_TRUE(rebuilt.ok());
-  auto diff = distance::DistanceMatrix::MaxAbsDifference(m, *rebuilt);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, 0.0);
-
-  EXPECT_EQ(distance::DistanceMatrix::FromUpperTriangle(4, upper)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
 ShardManifest MakeManifest(uint32_t index, uint32_t count, uint64_t n) {
   ShardManifest m;
   m.matrix = "token";
@@ -458,11 +415,11 @@ TEST_F(MatrixStoreTest, DenseV1ShardFrameIsParseError) {
   // no reader: such a frame is rejected typed, never decoded.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  distance::DistanceMatrix partial(9);
   const ShardManifest manifest = MakeManifest(1, 3, 9);
   Writer w;
   EncodeShardManifest(manifest, &w);
-  EncodeMatrix(partial, &w);
+  w.PutU64(9);  // v1 body: n, then the n(n-1)/2 upper-triangle cells
+  for (size_t k = 0; k < 9 * 8 / 2; ++k) w.PutDouble(0.0);
   const std::string path = (fs::path(dir_) / "shard-token-1of3.dpe").string();
   ASSERT_TRUE(
       WriteFramedFile(path, kShardMagic, w.buffer(), /*version=*/1).ok());
