@@ -1,6 +1,6 @@
 #include "mining/outlier.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -19,22 +19,19 @@ Result<OutlierResult> DistanceBasedOutliers(const distance::DistanceMatrix& m,
   result.is_outlier.assign(n, false);
   // far[i] counts the j != i with d(i, j) > D. The counts are integers, so
   // any traversal order is exact: walk the packed triangle in contiguous
-  // row runs and credit both ends of each far pair. With a pool, each band
-  // of rows (balanced by cell count; row i holds i cells) counts into its
-  // own array, and the arrays are summed afterwards.
+  // row runs and credit both ends of each far pair. With a pool, each of
+  // thread_count bands of rows counts into its own array, and the arrays
+  // are summed afterwards. About (i/n)² of the cells precede row i, so
+  // band b starts at row n·sqrt(b/bands) and the bands hold equal cells.
   const std::span<const double> cells = m.packed();
   const size_t bands =
-      options.pool != nullptr && n > 1
-          ? std::min(n - 1, options.pool->thread_count())
-          : 1;
-  std::vector<size_t> bounds{1};
-  for (size_t b = 1; b < bands; ++b) {
-    const uint64_t target = cells.size() * b / bands;
-    size_t row = bounds.back();
-    while (row < n && distance::TriangleCells(row + 1) <= target) ++row;
-    bounds.push_back(row);
+      options.pool != nullptr ? options.pool->thread_count() : 1;
+  std::vector<size_t> bounds(bands + 1, n);
+  for (size_t b = 0; b < bands; ++b) {
+    bounds[b] = static_cast<size_t>(
+        std::sqrt(static_cast<double>(b) / static_cast<double>(bands)) *
+        static_cast<double>(n));
   }
-  bounds.push_back(std::max<size_t>(n, 1));
   std::vector<std::vector<uint32_t>> far(bands, std::vector<uint32_t>(n, 0));
   MaybeParallelFor(options.pool, 0, bands, 1, [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
