@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "distance/measure.h"
@@ -51,6 +52,12 @@ class DistanceMatrix {
 
   /// The stored cells: row i (d(i, 0..i-1)) at offset TriangleCells(i).
   std::span<const double> packed() const { return cells_; }
+  /// Moves the stored cells out (FromPacked's inverse), leaving a 0 x 0
+  /// matrix.
+  std::vector<double> TakePacked() && {
+    n_ = 0;
+    return std::exchange(cells_, {});
+  }
 
   /// Unchecked symmetric read for hot loops; i and j must be < size().
   double AtUnchecked(size_t i, size_t j) const {

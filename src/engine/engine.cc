@@ -688,7 +688,7 @@ Result<mining::Dendrogram> Engine::RunHierarchical(const std::string& measure) {
       &metrics_->histogram("engine.api_ms",
                            {{"api", "hierarchical"}, {"measure", measure}}));
   DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix m, BuildMatrix(measure));
-  return mining::CompleteLink(m, metrics_);
+  return mining::CompleteLink(std::move(m), metrics_);
 }
 
 Result<OutlierKnnReport> Engine::RunOutlierKnn(

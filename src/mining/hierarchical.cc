@@ -5,11 +5,11 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <span>
+#include <utility>
 
 namespace dpe::mining {
 
-Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
+Result<Dendrogram> CompleteLink(distance::DistanceMatrix m,
                                 obs::MetricsRegistry* metrics) {
   const size_t n = m.size();
   Dendrogram out;
@@ -23,15 +23,12 @@ Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
   if (n < 2) return out;
 
   // Cluster-to-cluster links by slot, as a packed lower triangle: slot x > y
-  // holds d(x, y) at x(x-1)/2 + y — the matrix's own layout. A leaf starts
-  // in the slot of its index; a merge reuses the slot of its left
-  // (smaller-id) cluster. The initial link is max(0, cell), the floor the
-  // member-list definition starts from.
-  const std::span<const double> cells = m.packed();
-  std::vector<double> tri(cells.size());
-  for (size_t k = 0; k < cells.size(); ++k) {
-    tri[k] = std::max(0.0, cells[k]);
-  }
+  // holds d(x, y) at x(x-1)/2 + y — the matrix's own cells, taken over. A
+  // leaf starts in the slot of its index; a merge reuses the slot of its
+  // left (smaller-id) cluster. The initial link is max(0, cell), the floor
+  // the member-list definition starts from.
+  std::vector<double> tri = std::move(m).TakePacked();
+  for (double& cell : tri) cell = std::max(0.0, cell);
   auto link = [&tri](size_t x, size_t y) -> double& {
     if (x < y) std::swap(x, y);
     return tri[x * (x - 1) / 2 + y];

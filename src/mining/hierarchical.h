@@ -41,8 +41,10 @@ struct Dendrogram {
 /// two clusters is the largest distance between their members, floored at
 /// 0 (negative cells act as 0). InvalidArgument if any cell is NaN or
 /// infinite. `metrics` (optional) records
-/// mining.hierarchical.{runs,merge_rounds}.
-Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& matrix,
+/// mining.hierarchical.{runs,merge_rounds}. The links are worked out in the
+/// matrix's own cells, so a caller done with its matrix moves it in and
+/// saves a copy of the triangle.
+Result<Dendrogram> CompleteLink(distance::DistanceMatrix matrix,
                                 obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace dpe::mining
