@@ -273,7 +273,8 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
 
   // Append only onto the rows this build started from: if a concurrent
   // build, ClearCache or SetLog got there first, these rows are discarded
-  // (the winner's rows are the same values, or belong to another log).
+  // (the winner's rows are the same values, or belong to another log). An
+  // empty memo adopts the rows; the journal reads them from `cells`.
   obs::TraceSpan insert_span("build.cache_insert", &trace_,
                              &stage_hist("cache_insert"));
   bool appended = false;
@@ -281,7 +282,11 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     MutexLock lock(memo_mu_);
     store::Triangle& triangle = memo_[measure_name];
     if (memo_epoch_ == epoch && triangle.rows == stored) {
-      triangle.cells.insert(triangle.cells.end(), rows.begin(), rows.end());
+      if (triangle.cells.empty()) {
+        triangle.cells = std::move(rows);
+      } else {
+        triangle.cells.insert(triangle.cells.end(), rows.begin(), rows.end());
+      }
       triangle.rows = n;
       appended = true;
     }
@@ -292,7 +297,9 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
   if (appended) {
     obs::TraceSpan journal_span("build.journal", &trace_,
                                 &stage_hist("journal"));
-    DPE_RETURN_NOT_OK(JournalRows(measure_name, stored, n, rows));
+    DPE_RETURN_NOT_OK(JournalRows(
+        measure_name, stored, n,
+        std::span<const double>(cells).subspan(store::TriangleCells(stored))));
     journal_span.End();
     report.stages.push_back({"journal", journal_span.elapsed_ms()});
   }
@@ -300,7 +307,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
 }
 
 Status Engine::JournalRows(const std::string& measure_name, size_t row_begin,
-                           size_t row_end, const std::vector<double>& rows) {
+                           size_t row_end, std::span<const double> rows) {
   MutexLock lock(store_mu_);  // also guards the store_ read
   if (store_ == nullptr) return Status::OK();
   // Rows below the watermark are already persisted (snapshot or an earlier
@@ -312,8 +319,7 @@ Status Engine::JournalRows(const std::string& measure_name, size_t row_begin,
       store::TriangleCells(watermark) - store::TriangleCells(row_begin);
   DPE_RETURN_NOT_OK(store_->AppendRows(
       measure_name, static_cast<uint32_t>(watermark),
-      static_cast<uint32_t>(row_end),
-      std::span<const double>(rows).subspan(offset)));
+      static_cast<uint32_t>(row_end), rows.subspan(offset)));
   watermark = row_end;
   MaybeScheduleCompactionLocked();
   return Status::OK();

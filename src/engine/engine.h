@@ -31,6 +31,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -442,7 +443,7 @@ class Engine {
   /// the measure's persisted watermark contiguously. No-op when no store is
   /// attached.
   Status JournalRows(const std::string& measure_name, size_t row_begin,
-                     size_t row_end, const std::vector<double>& rows)
+                     size_t row_end, std::span<const double> rows)
       EXCLUDES(store_mu_);
 
   /// Resets the per-measure watermarks to the rows `triangles` hold.
