@@ -75,8 +75,8 @@ Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
     return Status::InvalidArgument("matrix size mismatch");
   }
   double max_diff = 0.0;
-  for (size_t k = 0; k < a.cells_.size(); ++k) {
-    max_diff = std::max(max_diff, std::fabs(a.cells_[k] - b.cells_[k]));
+  for (size_t i = 0; i < a.cells_.size(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(a.cells_[i] - b.cells_[i]));
   }
   return max_diff;
 }

@@ -110,7 +110,7 @@ TEST(DistanceMatrixTest, NonzeroDiagonalSetIsRejectedAndLeavesMatrix) {
             before);
 }
 
-TEST(DistanceMatrixTest, FromPackedAdoptsOnlyTheTriangleSize) {
+TEST(DistanceMatrixTest, FromPackedAndTakePackedMoveTheTriangle) {
   EXPECT_EQ(DistanceMatrix::FromPacked(4, std::vector<double>(5))
                 .status()
                 .code(),
@@ -129,6 +129,10 @@ TEST(DistanceMatrixTest, FromPackedAdoptsOnlyTheTriangleSize) {
   EXPECT_EQ(m->at(0, 2), 2.0);
   EXPECT_EQ(m->at(2, 1), 3.0);
   EXPECT_EQ(m->at(3, 2), 6.0);
+  EXPECT_EQ(std::move(*m).TakePacked(),
+            (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(m->size(), 0u);
+  EXPECT_TRUE(m->packed().empty());
   EXPECT_TRUE(DistanceMatrix::FromPacked(0, {}).ok());
   EXPECT_TRUE(DistanceMatrix::FromPacked(1, {}).ok());
 }
