@@ -31,6 +31,43 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+// The same 1 KiB digest pinned to each compress routine (0 = portable,
+// 1 = SHA-NI); a routine this CPU cannot run is skipped.
+void BM_Sha256_1KiBPerCompress(benchmark::State& state) {
+  const auto& all = Sha256::RunnableCompressors();
+  const size_t index = static_cast<size_t>(state.range(0));
+  if (index >= all.size()) {
+    state.SkipWithError("compress routine not runnable here");
+    return;
+  }
+  state.SetLabel(all[index].name);
+  std::string data(1024, 'x');
+  for (auto _ : state) {
+    Sha256 ctx(all[index].fn);
+    ctx.Update(data);
+    benchmark::DoNotOptimize(ctx.Finish());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_Sha256_1KiBPerCompress)->DenseRange(0, 1);
+
+// A keyed 64-byte MAC (the OPE coin and DET SIV shape) per compress routine.
+void BM_HmacSha256Keyed_64BPerCompress(benchmark::State& state) {
+  const auto& all = Sha256::RunnableCompressors();
+  const size_t index = static_cast<size_t>(state.range(0));
+  if (index >= all.size()) {
+    state.SkipWithError("compress routine not runnable here");
+    return;
+  }
+  state.SetLabel(all[index].name);
+  const HmacSha256Key key("key", all[index].fn);
+  std::string data(64, 'm');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.Mac(data));
+  }
+}
+BENCHMARK(BM_HmacSha256Keyed_64BPerCompress)->DenseRange(0, 1);
+
 void BM_HmacSha256_64B(benchmark::State& state) {
   std::string data(64, 'm');
   for (auto _ : state) {
@@ -117,9 +154,24 @@ void BM_OpeEncryptRepeated(benchmark::State& state) {
 }
 BENCHMARK(BM_OpeEncryptRepeated)->Arg(96);
 
+// One full tree descent per iteration with no memo in play: each iteration
+// encrypts the same plaintext through a fresh copy (a copy's memo starts
+// empty), so nothing is looked up or accumulated across iterations.
+void BM_OpeDescentMemoFree(benchmark::State& state) {
+  BoldyrevaOpe::Options opts;
+  opts.domain_bits = 64;
+  opts.range_bits = static_cast<int>(state.range(0));
+  const auto ope = BoldyrevaOpe::Create(Keys().Derive("ope"), opts).value();
+  for (auto _ : state) {
+    const BoldyrevaOpe fresh = ope;
+    benchmark::DoNotOptimize(fresh.Encrypt(0x9e3779b97f4a7c15ULL));
+  }
+}
+BENCHMARK(BM_OpeDescentMemoFree)->Arg(96);
+
 void BM_OpeDecrypt(benchmark::State& state) {
   auto ope = BoldyrevaOpe::Create(Keys().Derive("ope")).value();
-  auto ct = ope.Encrypt(123456789);
+  auto ct = ope.Encrypt(123456789).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ope.Decrypt(ct));
   }
@@ -156,18 +208,28 @@ const Paillier::KeyPair& Kp512() {
   return kp;
 }
 
+const Paillier::KeyPair& Kp1024() {
+  static Paillier::KeyPair kp = [] {
+    Csprng rng = Csprng::FromSeed("paillier-bench");
+    return Paillier::GenerateKeyPair(1024, rng).value();
+  }();
+  return kp;
+}
+
+// The owner's encryption (CRT over p^2 and q^2) at 512 and 1024 bits.
 void BM_PaillierEncrypt(benchmark::State& state) {
+  const Paillier::KeyPair& kp = state.range(0) == 1024 ? Kp1024() : Kp512();
   Csprng rng = Csprng::FromSeed("pe");
   int64_t m = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Paillier::Encrypt(Kp512().pub, Bigint(m++), rng));
+    benchmark::DoNotOptimize(Paillier::Encrypt(kp, Bigint(m++), rng));
   }
 }
-BENCHMARK(BM_PaillierEncrypt);
+BENCHMARK(BM_PaillierEncrypt)->Arg(512)->Arg(1024);
 
 void BM_PaillierDecrypt(benchmark::State& state) {
   Csprng rng = Csprng::FromSeed("pd");
-  auto ct = Paillier::Encrypt(Kp512().pub, Bigint(424242), rng).value();
+  auto ct = Paillier::Encrypt(Kp512(), Bigint(424242), rng).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Paillier::Decrypt(Kp512().pub, Kp512().priv, ct));
   }
@@ -176,8 +238,8 @@ BENCHMARK(BM_PaillierDecrypt);
 
 void BM_PaillierAdd(benchmark::State& state) {
   Csprng rng = Csprng::FromSeed("pa");
-  auto c1 = Paillier::Encrypt(Kp512().pub, Bigint(1), rng).value();
-  auto c2 = Paillier::Encrypt(Kp512().pub, Bigint(2), rng).value();
+  auto c1 = Paillier::Encrypt(Kp512(), Bigint(1), rng).value();
+  auto c2 = Paillier::Encrypt(Kp512(), Bigint(2), rng).value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Paillier::Add(Kp512().pub, c1, c2));
   }

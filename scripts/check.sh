@@ -23,8 +23,11 @@ echo "== scalar-forced backend: dispatch-sensitive suites rerun =="
 # The SIMD dispatch (common/simd.h) honors DPE_KERNEL_BACKEND; rerunning
 # the kernel-touching suites pinned to scalar keeps the fallback path green
 # on hardware where auto-dispatch would otherwise always pick AVX2/SSE4.2.
+# The same override pins SHA-256 to its portable compress, so the crypto,
+# cryptdb and core suites (RFC/NIST vectors, OPE goldens, the owner
+# artifact digests) rerun here too.
 DPE_KERNEL_BACKEND=scalar ctest --test-dir build --output-on-failure \
-      -R '^(common|distance|engine|mining|store)$'
+      -R '^(common|distance|engine|mining|store|crypto|cryptdb|core)$'
 
 echo "== bench smoke: scaling + kernel benches compile-and-run =="
 # --smoke uses tiny sizes; the binaries hard-fail if any parallel,
@@ -180,15 +183,17 @@ cmake --build build-tsan -j"$JOBS" --target dpe_obs_tests
 (cd build-tsan && ./dpe_obs_tests --gtest_filter='LogTest.*')
 
 echo "== scalar-only compile: DPE_DISABLE_SIMD build + kernel suites =="
-# Simulates a non-x86 target: the SIMD backends are not even compiled, and
-# the dispatch-sensitive suites must pass on the pure scalar table.
+# Simulates a non-x86 target: the SIMD backends and the SHA-NI compress
+# are not even compiled, and the dispatch-sensitive suites must pass on
+# the pure scalar table — including the crypto vectors and the core
+# suite's owner artifact digests on the portable SHA-256 compress.
 cmake -B build-noscalar-simd -S . -DDPE_DISABLE_SIMD=ON \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-noscalar-simd -j"$JOBS" \
       --target dpe_common_tests dpe_engine_tests dpe_distance_tests \
-      dpe_mining_tests
+      dpe_mining_tests dpe_crypto_tests dpe_core_tests
 ctest --test-dir build-noscalar-simd --output-on-failure \
-      -R '^(common|distance|engine|mining)$'
+      -R '^(common|distance|engine|mining|crypto|core)$'
 
 if command -v clang++ >/dev/null 2>&1; then
   echo "== clang thread-safety: -Wthread-safety -Werror build of src/ =="

@@ -9,12 +9,8 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 
-#if !defined(DPE_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DPE_SIMD_X86 1
+#if DPE_SIMD_X86
 #include <immintrin.h>
-#else
-#define DPE_SIMD_X86 0
 #endif
 
 namespace dpe::common::simd {
@@ -536,6 +532,20 @@ const KernelTable& KernelsFor(KernelBackend backend) {
   // the loud path).
   const KernelBackend best = DetectBackend();
   return TableOf(backend <= best ? backend : best);
+}
+
+bool ShaExtensionsRunnable() {
+#if DPE_SIMD_X86
+  static const bool runnable =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  return runnable;
+#else
+  return false;
+#endif
+}
+
+bool UseShaExtensions() {
+  return ShaExtensionsRunnable() && ActiveBackend() != KernelBackend::kScalar;
 }
 
 }  // namespace dpe::common::simd

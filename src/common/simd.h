@@ -32,6 +32,11 @@
 // On non-x86 targets only the scalar backend is compiled; building with
 // -DDPE_DISABLE_SIMD simulates that on x86 (used by CI to keep the scalar
 // fallback honest).
+//
+// The same dispatch decides whether crypto/sha256 compresses with the x86
+// SHA extensions (UseShaExtensions below): never on a scalar-only build,
+// never under DPE_KERNEL_BACKEND=scalar, and only where the CPU reports
+// `sha` — which is independent of AVX2.
 
 #ifndef DPE_COMMON_SIMD_H_
 #define DPE_COMMON_SIMD_H_
@@ -42,6 +47,16 @@
 #include <vector>
 
 #include "common/status.h"
+
+// 1 where the x86 SIMD backends (and any x86 intrinsics elsewhere, such as
+// the SHA-NI compress) are compiled in; 0 on other targets and under
+// -DDPE_DISABLE_SIMD.
+#if !defined(DPE_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define DPE_SIMD_X86 1
+#else
+#define DPE_SIMD_X86 0
+#endif
 
 namespace dpe::common::simd {
 
@@ -124,6 +139,16 @@ inline const KernelTable& Kernels() { return KernelsFor(KernelBackend::kAuto); }
 
 /// The backend Kernels() resolved to (for logging / bench labels).
 inline KernelBackend ActiveBackend() { return Kernels().backend; }
+
+/// True when the x86 SHA extensions are compiled in and this CPU reports
+/// `sha` (and SSE4.1, which the SHA-NI compress also uses). Ignores
+/// overrides; tests and benches use it to enumerate compress routines.
+bool ShaExtensionsRunnable();
+
+/// True when SHA-256 should compress with the SHA extensions: they are
+/// runnable and ActiveBackend() is not scalar, so DPE_KERNEL_BACKEND=scalar
+/// pins the portable compress as it pins the portable distance kernels.
+bool UseShaExtensions();
 
 }  // namespace dpe::common::simd
 

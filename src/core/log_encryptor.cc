@@ -464,7 +464,8 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
                                            db::Value::FromLiteral(literal)));
       DPE_ASSIGN_OR_RETURN(const crypto::BoldyrevaOpe* ope,
                            keyring_->Ope("const-ope/" + column_key));
-      return Literal::String("o" + ope->EncryptToHex(u));
+      DPE_ASSIGN_OR_RETURN(std::string hex, ope->EncryptToHex(u));
+      return Literal::String("o" + hex);
     }
     default:
       return Status::InvalidArgument(

@@ -129,7 +129,8 @@ Result<FrequencyAttackResult> SimulateFrequencyAttack(PpeClass cls,
     std::map<std::string, size_t> distinct;  // ct(dec) -> order index later
     std::vector<std::string> ct_keys(samples);
     for (size_t i = 0; i < samples; ++i) {
-      cts[i] = ope.Encrypt(static_cast<uint64_t>(plaintexts[i]));
+      DPE_ASSIGN_OR_RETURN(cts[i],
+                           ope.Encrypt(static_cast<uint64_t>(plaintexts[i])));
       ct_keys[i] = cts[i].ToString();
       distinct[ct_keys[i]] = 0;
     }

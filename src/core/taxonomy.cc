@@ -142,8 +142,8 @@ Result<bool> ValidateOpeProperty(size_t samples) {
   for (size_t i = 0; i < samples; ++i) {
     uint64_t a = rng.NextBelow(1ULL << 32);
     uint64_t b = rng.NextBelow(1ULL << 32);
-    crypto::Bigint ca = ope.Encrypt(a);
-    crypto::Bigint cb = ope.Encrypt(b);
+    DPE_ASSIGN_OR_RETURN(crypto::Bigint ca, ope.Encrypt(a));
+    DPE_ASSIGN_OR_RETURN(crypto::Bigint cb, ope.Encrypt(b));
     if ((a < b) != (ca < cb)) return false;
     if ((a == b) != (ca == cb)) return false;
   }
@@ -158,9 +158,9 @@ Result<bool> ValidateHomProperty(size_t samples) {
     int64_t a = static_cast<int64_t>(rng.NextBelow(1'000'000));
     int64_t b = static_cast<int64_t>(rng.NextBelow(1'000'000));
     DPE_ASSIGN_OR_RETURN(crypto::Bigint ca,
-                         crypto::Paillier::Encrypt(kp.pub, crypto::Bigint(a), rng));
+                         crypto::Paillier::Encrypt(kp, crypto::Bigint(a), rng));
     DPE_ASSIGN_OR_RETURN(crypto::Bigint cb,
-                         crypto::Paillier::Encrypt(kp.pub, crypto::Bigint(b), rng));
+                         crypto::Paillier::Encrypt(kp, crypto::Bigint(b), rng));
     crypto::Bigint sum_ct = crypto::Paillier::Add(kp.pub, ca, cb);
     DPE_ASSIGN_OR_RETURN(crypto::Bigint m,
                          crypto::Paillier::Decrypt(kp.pub, kp.priv, sum_ct));

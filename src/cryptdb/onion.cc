@@ -126,7 +126,8 @@ Result<Value> OnionCrypto::EncryptOrd(const std::string& column_key,
   // shared ORD key; within a (homogeneously typed) column it is constant,
   // so string order still equals numeric order.
   const char type_tag = v.is_int() ? 'i' : 'd';
-  return Value::String(std::string("o") + type_tag + ope->EncryptToHex(u));
+  DPE_ASSIGN_OR_RETURN(std::string hex, ope->EncryptToHex(u));
+  return Value::String(std::string("o") + type_tag + hex);
 }
 
 Result<Value> OnionCrypto::EncryptAdd(const std::string& column_key,
@@ -138,7 +139,7 @@ Result<Value> OnionCrypto::EncryptAdd(const std::string& column_key,
                              v.ToDisplayString());
   }
   Bigint m = Paillier::EncodeSigned(paillier_.pub, v.int_value());
-  DPE_ASSIGN_OR_RETURN(Bigint ct, Paillier::Encrypt(paillier_.pub, m, rng_));
+  DPE_ASSIGN_OR_RETURN(Bigint ct, Paillier::Encrypt(paillier_, m, rng_));
   return Value::String("h" + HexEncode(ct.ToBytes()));
 }
 

@@ -8,12 +8,14 @@ namespace {
 constexpr std::string_view kDomainSeparator("\0", 1);
 }  // namespace
 
-HmacSha256Key::HmacSha256Key(std::string_view key) {
+HmacSha256Key::HmacSha256Key(std::string_view key, Sha256::CompressFn compress)
+    : inner_(compress), outer_(compress) {
   constexpr size_t kBlock = Sha256::kBlockSize;
   Bytes k(kBlock, '\0');
   if (key.size() > kBlock) {
-    Bytes digest = Sha256::Digest(key);
-    std::copy(digest.begin(), digest.end(), k.begin());
+    Sha256 digest(compress);
+    digest.Update(key);
+    digest.FinishTo(reinterpret_cast<unsigned char*>(k.data()));
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
@@ -28,11 +30,21 @@ HmacSha256Key::HmacSha256Key(std::string_view key) {
 }
 
 Bytes HmacSha256Key::Mac(std::initializer_list<std::string_view> parts) const {
+  Bytes tag(Sha256::kDigestSize, '\0');
+  MacTo(parts, reinterpret_cast<unsigned char*>(tag.data()));
+  return tag;
+}
+
+void HmacSha256Key::MacTo(std::initializer_list<std::string_view> parts,
+                          unsigned char* out) const {
   Sha256 inner = inner_;
   for (std::string_view part : parts) inner.Update(part);
+  unsigned char inner_tag[Sha256::kDigestSize];
+  inner.FinishTo(inner_tag);
   Sha256 outer = outer_;
-  outer.Update(inner.Finish());
-  return outer.Finish();
+  outer.Update(std::string_view(reinterpret_cast<const char*>(inner_tag),
+                                sizeof(inner_tag)));
+  outer.FinishTo(out);
 }
 
 Bytes HmacSha256(std::string_view key, std::string_view message) {
@@ -50,16 +62,25 @@ Bytes Prf(std::string_view key, std::string_view label, std::string_view input) 
 
 Bytes PrfExpand(const HmacSha256Key& key, std::string_view label,
                 std::string_view input, size_t n) {
-  Bytes out;
-  out.reserve(n);
-  uint32_t counter = 0;
-  while (out.size() < n) {
-    Bytes block =
-        key.Mac({label, kDomainSeparator, EncodeBigEndian64(counter), input});
-    out.append(block, 0, std::min(block.size(), n - out.size()));
-    ++counter;
-  }
+  Bytes out(n, '\0');
+  PrfExpandTo(key, label, input, reinterpret_cast<unsigned char*>(out.data()),
+              n);
   return out;
+}
+
+void PrfExpandTo(const HmacSha256Key& key, std::string_view label,
+                 std::string_view input, unsigned char* out, size_t n) {
+  unsigned char block[Sha256::kDigestSize];
+  uint64_t counter = 0;
+  for (size_t done = 0; done < n; done += sizeof(block), ++counter) {
+    char counter_be[8];
+    for (int i = 0; i < 8; ++i) {
+      counter_be[i] = static_cast<char>(counter >> (56 - 8 * i));
+    }
+    key.MacTo({label, kDomainSeparator, std::string_view(counter_be, 8), input},
+              block);
+    std::copy_n(block, std::min(sizeof(block), n - done), out + done);
+  }
 }
 
 Bytes PrfExpand(std::string_view key, std::string_view label,

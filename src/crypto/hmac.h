@@ -16,11 +16,19 @@ namespace dpe::crypto {
 /// bytes. The one HMAC implementation: the free functions below wrap it.
 class HmacSha256Key {
  public:
-  explicit HmacSha256Key(std::string_view key);
+  explicit HmacSha256Key(std::string_view key)
+      : HmacSha256Key(key, Sha256::DefaultCompressor().fn) {}
+  /// Keyed with every hash compressed by `compress` (tests and benches pin
+  /// one of Sha256::RunnableCompressors this way).
+  HmacSha256Key(std::string_view key, Sha256::CompressFn compress);
 
   /// HMAC-SHA256(key, parts[0] || parts[1] || ...); the 32-byte tag.
   Bytes Mac(std::initializer_list<std::string_view> parts) const;
   Bytes Mac(std::string_view message) const { return Mac({message}); }
+
+  /// Mac() into `out` (Sha256::kDigestSize bytes), without allocating.
+  void MacTo(std::initializer_list<std::string_view> parts,
+             unsigned char* out) const;
 
  private:
   Sha256 inner_;  // has absorbed key ^ ipad
@@ -42,6 +50,9 @@ Bytes PrfExpand(const HmacSha256Key& key, std::string_view label,
                 std::string_view input, size_t n);
 Bytes PrfExpand(std::string_view key, std::string_view label,
                 std::string_view input, size_t n);
+/// PrfExpand into `out` (n bytes), without allocating.
+void PrfExpandTo(const HmacSha256Key& key, std::string_view label,
+                 std::string_view input, unsigned char* out, size_t n);
 
 /// PRF mapped to a uint64 (first 8 bytes, big-endian).
 uint64_t PrfU64(const HmacSha256Key& key, std::string_view label,

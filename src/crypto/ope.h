@@ -9,6 +9,12 @@
 //    split is sampled uniformly from the feasible window instead of from the
 //    exact hypergeometric distribution. This affects only the POPF security
 //    equivalence, never order preservation or determinism (DESIGN.md §2).
+//    The descent runs on a fixed-width 256-bit unsigned integer kept on the
+//    stack (four 64-bit limbs; the coin reduction is one GMP mpn division),
+//    never on heap Bigints: one code path for every range_bits. Its byte contracts are fixed by golden vectors —
+//    a node's coins are PRF(key, label, NodeId) with NodeId the minimal
+//    big-endian bytes of dlo|dhi|rlo|rhi (empty for 0), reduced as
+//    FromBytes(coins) % span.
 //
 //  * DictionaryOpe — stateful and exactly order-preserving over a known
 //    domain (the paper's access-area measure already requires sharing the
@@ -53,7 +59,8 @@ class BoldyrevaOpe {
                                      const Options& options);
 
   /// Deterministic, strictly monotone encryption of `x`. Memoized.
-  Bigint Encrypt(uint64_t x) const;
+  /// InvalidArgument when x >= 2^domain_bits.
+  Result<Bigint> Encrypt(uint64_t x) const;
 
   /// Inverts Encrypt; fails for values not produced by Encrypt.
   Result<uint64_t> Decrypt(const Bigint& ciphertext) const;
@@ -61,7 +68,8 @@ class BoldyrevaOpe {
   /// Ciphertext as fixed-width lowercase hex. Because the width is fixed,
   /// lexicographic order on these strings equals numeric ciphertext order —
   /// this is how OPE atoms embed into rewritten SQL and the encrypted DB.
-  std::string EncryptToHex(uint64_t x) const;
+  /// Fails as Encrypt does.
+  Result<std::string> EncryptToHex(uint64_t x) const;
 
   /// Fixed hex width: two hex chars per ciphertext byte.
   int hex_width() const { return 2 * ((options_.range_bits + 7) / 8); }
@@ -69,36 +77,27 @@ class BoldyrevaOpe {
   const Options& options() const { return options_; }
 
  private:
-  /// Plaintext -> ciphertext images computed so far.
+  /// Plaintext -> ciphertext images computed so far, each as hex_width()/2
+  /// big-endian bytes.
   class ImageMemo {
    public:
     ImageMemo() = default;
     ImageMemo(const ImageMemo&) {}
     ImageMemo& operator=(const ImageMemo& other);
 
-    std::optional<Bigint> Find(uint64_t x);
-    void Insert(uint64_t x, const Bigint& image);
+    std::optional<Bytes> Find(uint64_t x);
+    void Insert(uint64_t x, const Bytes& image);
 
    private:
     Mutex mu_;
-    std::unordered_map<uint64_t, Bigint> images_ GUARDED_BY(mu_);
+    std::unordered_map<uint64_t, Bytes> images_ GUARDED_BY(mu_);
   };
 
   BoldyrevaOpe(std::string_view key, const Options& options);
 
-  /// The tree descent Encrypt memoizes.
-  Bigint Descend(uint64_t x) const;
-
-  /// Deterministic uniform-ish sample in [lo, hi] (inclusive), coins from
-  /// PRF(key, label, input).
-  Bigint SampleInRange(std::string_view label, std::string_view input,
-                       const Bigint& lo, const Bigint& hi) const;
-
-  /// Samples the number of domain points assigned to the left half of the
-  /// current range node, uniformly from the feasible window, with coins
-  /// derived deterministically from the node bounds (never from x).
-  Bigint SampleSplit(const Bigint& dlo, const Bigint& dhi, const Bigint& rlo,
-                     const Bigint& rhi) const;
+  /// The fixed-width big-endian image of an in-domain `x`: a memo hit or a
+  /// tree descent. Counts one "ope encrypt".
+  Result<Bytes> Image(uint64_t x) const;
 
   HmacSha256Key key_;
   Options options_;

@@ -31,6 +31,13 @@ Result<Paillier::KeyPair> Paillier::GenerateKeyPair(int modulus_bits,
     kp.pub.n = n;
     kp.pub.n2 = n * n;
     kp.priv.lambda = Bigint::Lcm(pm1, qm1);
+    kp.priv.p = p;
+    kp.priv.q = q;
+    kp.priv.p2 = p * p;
+    kp.priv.q2 = q * q;
+    kp.priv.q_mod_pm1 = q % pm1;
+    kp.priv.p_mod_qm1 = p % qm1;
+    DPE_ASSIGN_OR_RETURN(kp.priv.p2_inv, kp.priv.p2.InvMod(kp.priv.q2));
     // g = n+1: g^lambda mod n^2 = 1 + lambda*n, so L(..) = lambda mod n.
     Bigint g = n + Bigint(1);
     Bigint l = LFunction(g.PowMod(kp.priv.lambda, kp.pub.n2), n);
@@ -40,8 +47,10 @@ Result<Paillier::KeyPair> Paillier::GenerateKeyPair(int modulus_bits,
   return Status::Internal("Paillier keygen failed repeatedly");
 }
 
-Result<Bigint> Paillier::Encrypt(const PublicKey& pub, const Bigint& m,
+Result<Bigint> Paillier::Encrypt(const KeyPair& kp, const Bigint& m,
                                  Csprng& rng) {
+  const PublicKey& pub = kp.pub;
+  const PrivateKey& priv = kp.priv;
   if (m.IsNegative() || !(m < pub.n)) {
     return Status::InvalidArgument("Paillier plaintext must be in [0, n)");
   }
@@ -52,9 +61,15 @@ Result<Bigint> Paillier::Encrypt(const PublicKey& pub, const Bigint& m,
   do {
     r = Bigint::RandomBelow(pub.n, rng);
   } while (r.IsZero() || Bigint::Gcd(r, pub.n) != Bigint(1));
+  // r^n mod p^2: a = r^q mod p by Fermat, and a = b (mod p) implies
+  // a^p = b^p (mod p^2), so r^(pq) = a^p (mod p^2). Likewise mod q^2.
+  const Bigint rn_p = r.PowMod(priv.q_mod_pm1, priv.p).PowMod(priv.p, priv.p2);
+  const Bigint rn_q = r.PowMod(priv.p_mod_qm1, priv.q).PowMod(priv.q, priv.q2);
+  // Garner: the x in [0, n^2) with x = rn_p (mod p^2), x = rn_q (mod q^2).
+  const Bigint rn = rn_p + priv.p2 * (((rn_q - rn_p) * priv.p2_inv) % priv.q2);
   // (1+n)^m = 1 + m*n (mod n^2).
   Bigint gm = (Bigint(1) + m * pub.n) % pub.n2;
-  return (gm * r.PowMod(pub.n, pub.n2)) % pub.n2;
+  return (gm * rn) % pub.n2;
 }
 
 Result<Bigint> Paillier::Decrypt(const PublicKey& pub, const PrivateKey& priv,
@@ -91,12 +106,6 @@ Bigint Paillier::MulPlain(const PublicKey& pub, const Bigint& c,
   CryptoSpan span("crypto.paillier.mul_plain");
   Bigint kk = k % pub.n;
   return c.PowMod(kk, pub.n2);
-}
-
-Result<Bigint> Paillier::Rerandomize(const PublicKey& pub, const Bigint& c,
-                                     Csprng& rng) {
-  DPE_ASSIGN_OR_RETURN(Bigint zero_ct, Encrypt(pub, Bigint(0), rng));
-  return Add(pub, c, zero_ct);
 }
 
 Bigint Paillier::EncodeSigned(const PublicKey& pub, int64_t v) {

@@ -1,6 +1,13 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/simd.h"
+
+#if DPE_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace dpe::crypto {
 
@@ -21,55 +28,142 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void CompressPortable(uint32_t* state, const unsigned char* blocks,
+                      size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if DPE_SIMD_X86
+
+// The x86 SHA extensions keep the state as two vectors, ABEF and CDGH;
+// sha256rnds2 runs two rounds, so each 4-word message vector (plus its
+// round constants) feeds two calls, the second on the high half. Words
+// 16..63 come from msg1/msg2 over the previous four message vectors:
+//   W[t..t+3] = msg2(msg1(W[t-16..], W[t-12..]) + W[t-7..t-4], W[t-4..]).
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(
+    uint32_t* state, const unsigned char* blocks, size_t nblocks) {
+  // Big-endian words -> little-endian lanes.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);            // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);          // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+
+  for (; nblocks > 0; --nblocks, blocks += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      __m128i& cur = w[q & 3];
+      if (q < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * q)),
+            byte_swap);
+      } else {
+        const __m128i prev = w[(q - 1) & 3];
+        cur = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(cur, w[(q - 3) & 3]),
+                          _mm_alignr_epi8(prev, w[(q - 2) & 3], 4)),
+            prev);
+      }
+      __m128i msg = _mm_add_epi32(
+          cur, _mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(&kRoundConstants[4 * q])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);       // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);      // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);   // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);      // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+
+#endif  // DPE_SIMD_X86
+
+constexpr Sha256::Compressor kPortable{"portable", CompressPortable};
+#if DPE_SIMD_X86
+constexpr Sha256::Compressor kShaNi{"sha-ni", CompressShaNi};
+#endif
+
 }  // namespace
 
-Sha256::Sha256() {
+const Sha256::Compressor& Sha256::DefaultCompressor() {
+#if DPE_SIMD_X86
+  static const Compressor& chosen =
+      common::simd::UseShaExtensions() ? kShaNi : kPortable;
+  return chosen;
+#else
+  return kPortable;
+#endif
+}
+
+const std::vector<Sha256::Compressor>& Sha256::RunnableCompressors() {
+  static const std::vector<Compressor> runnable = [] {
+    std::vector<Compressor> v{kPortable};
+#if DPE_SIMD_X86
+    if (common::simd::ShaExtensionsRunnable()) v.push_back(kShaNi);
+#endif
+    return v;
+  }();
+  return runnable;
+}
+
+Sha256::Sha256(CompressFn compress) : compress_(compress) {
   static constexpr uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
                                         0x1f83d9ab, 0x5be0cd19};
   std::memcpy(h_, kInit, sizeof(h_));
-}
-
-void Sha256::Compress(const unsigned char* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 void Sha256::Update(std::string_view data) {
@@ -83,14 +177,15 @@ void Sha256::Update(std::string_view data) {
     p += take;
     n -= take;
     if (buffer_len_ == kBlockSize) {
-      Compress(buffer_);
+      compress_(h_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (n >= kBlockSize) {
-    Compress(p);
-    p += kBlockSize;
-    n -= kBlockSize;
+  if (n >= kBlockSize) {
+    const size_t nblocks = n / kBlockSize;
+    compress_(h_, p, nblocks);
+    p += nblocks * kBlockSize;
+    n -= nblocks * kBlockSize;
   }
   if (n > 0) {
     std::memcpy(buffer_, p, n);
@@ -99,28 +194,34 @@ void Sha256::Update(std::string_view data) {
 }
 
 Bytes Sha256::Finish() {
-  finished_ = true;
-  uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, 8-byte big-endian bit length.
-  unsigned char pad[kBlockSize * 2] = {0x80};
-  size_t pad_len = (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  Update(std::string_view(reinterpret_cast<char*>(pad), pad_len));
-  unsigned char len_bytes[8];
-  for (int i = 7; i >= 0; --i) {
-    len_bytes[i] = static_cast<unsigned char>(bit_len & 0xff);
-    bit_len >>= 8;
-  }
-  // Update() also bumps total_len_, but we already captured bit_len.
-  Update(std::string_view(reinterpret_cast<char*>(len_bytes), 8));
-
   Bytes out(kDigestSize, '\0');
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<char>((h_[i] >> 24) & 0xff);
-    out[4 * i + 1] = static_cast<char>((h_[i] >> 16) & 0xff);
-    out[4 * i + 2] = static_cast<char>((h_[i] >> 8) & 0xff);
-    out[4 * i + 3] = static_cast<char>(h_[i] & 0xff);
-  }
+  FinishTo(reinterpret_cast<unsigned char*>(out.data()));
   return out;
+}
+
+void Sha256::FinishTo(unsigned char* out) {
+  finished_ = true;
+  const uint64_t bit_len = total_len_ * 8;
+  // Padding: 0x80, zeros, 8-byte big-endian bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress_(h_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<unsigned char>(bit_len >> (56 - 8 * i));
+  }
+  compress_(h_, buffer_, 1);
+
+  for (int i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<unsigned char>((h_[i] >> 24) & 0xff);
+    out[4 * i + 1] = static_cast<unsigned char>((h_[i] >> 16) & 0xff);
+    out[4 * i + 2] = static_cast<unsigned char>((h_[i] >> 8) & 0xff);
+    out[4 * i + 3] = static_cast<unsigned char>(h_[i] & 0xff);
+  }
 }
 
 Bytes Sha256::Digest(std::string_view data) {

@@ -33,6 +33,40 @@ TEST(HmacTest, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// RFC 4231 cases 1-4, 6 and 7 under every compress routine runnable here.
+TEST(HmacTest, Rfc4231OnEveryRunnableCompress) {
+  struct Case {
+    Bytes key;
+    Bytes msg;
+    const char* tag;
+  };
+  const Case kCases[] = {
+      {Bytes(20, '\x0b'), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {"Jefe", "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, '\xaa'), Bytes(50, '\xdd'),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {HexDecode("0102030405060708090a0b0c0d0e0f10111213141516171819").value(),
+       Bytes(50, '\xcd'),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(131, '\xaa'),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, '\xaa'),
+       "This is a test using a larger than block-size key and a larger than "
+       "block-size data. The key needs to be hashed before being used by the "
+       "HMAC algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (const Sha256::Compressor& c : Sha256::RunnableCompressors()) {
+    for (const Case& tc : kCases) {
+      EXPECT_EQ(HexEncode(HmacSha256Key(tc.key, c.fn).Mac(tc.msg)), tc.tag)
+          << c.name;
+    }
+  }
+}
+
 TEST(HmacTest, KeyedObjectMatchesOneShotAndIsReusable) {
   for (size_t key_len : {0u, 4u, 20u, 64u, 65u, 131u}) {
     const Bytes key(key_len, '\x5a');

@@ -22,7 +22,8 @@ TEST(KeyringTest, EncryptorsEqualFreshlyDerivedOnes) {
       BoldyrevaOpe::Create(keys.Derive("o"), OpeOptions()).value();
   for (int use = 0; use < 2; ++use) {
     EXPECT_EQ(ring.Det("d").value()->EncryptConst("x"), fresh_det.EncryptConst("x"));
-    EXPECT_EQ(ring.Ope("o").value()->EncryptToHex(99), fresh_ope.EncryptToHex(99));
+    EXPECT_EQ(ring.Ope("o").value()->EncryptToHex(99).value(),
+              fresh_ope.EncryptToHex(99).value());
     EXPECT_EQ(PrfU64(ring.Prf("p"), "l", "x"), PrfU64(keys.Derive("p"), "l", "x"));
     EXPECT_EQ(ring.Key("k"), keys.Derive("k"));
   }
@@ -55,7 +56,7 @@ TEST(KeyringConcurrencyTest, ConcurrentLookupsAgree) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       dets[t] = ring.Det("shared").value();
-      images[t] = ring.Ope("shared").value()->EncryptToHex(7);
+      images[t] = ring.Ope("shared").value()->EncryptToHex(7).value();
       ring.Prf("p" + std::to_string(t % 2));
     });
   }

@@ -37,10 +37,10 @@ TEST_P(OpePropertyTest, MonotoneAndDeterministicOnRandomPairs) {
   for (int i = 0; i < 60; ++i) {
     uint64_t a = rng.NextU64() & DomainMask();
     uint64_t b = rng.NextU64() & DomainMask();
-    Bigint ca = ope.Encrypt(a);
-    Bigint cb = ope.Encrypt(b);
+    Bigint ca = ope.Encrypt(a).value();
+    Bigint cb = ope.Encrypt(b).value();
     EXPECT_EQ(a < b, ca < cb) << a << " vs " << b;
-    EXPECT_EQ(ca, ope.Encrypt(a));
+    EXPECT_EQ(ca, ope.Encrypt(a).value());
   }
 }
 
@@ -52,7 +52,7 @@ TEST_P(OpePropertyTest, RoundTripAndRangeBound) {
   for (int i = 0; i < GetParam().range_bits; ++i) range_size = range_size * two;
   for (int i = 0; i < 25; ++i) {
     uint64_t x = rng.NextU64() & DomainMask();
-    Bigint ct = ope.Encrypt(x);
+    Bigint ct = ope.Encrypt(x).value();
     EXPECT_FALSE(ct.IsNegative());
     EXPECT_LT(ct, range_size);
     EXPECT_EQ(ope.Decrypt(ct).value(), x);
@@ -67,7 +67,7 @@ TEST_P(OpePropertyTest, HexWidthFixedAndOrdered) {
   for (int i = 0; i < 20; ++i) {
     uint64_t x = (prev + 1 + rng.NextBelow(DomainMask() / 32 + 1)) & DomainMask();
     if (x <= prev) break;  // wrapped; stop
-    std::string hex = ope.EncryptToHex(x);
+    std::string hex = ope.EncryptToHex(x).value();
     EXPECT_EQ(hex.size(), static_cast<size_t>(ope.hex_width()));
     if (!prev_hex.empty()) EXPECT_LT(prev_hex, hex);
     prev = x;

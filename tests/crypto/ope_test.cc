@@ -24,7 +24,7 @@ class OpeTest : public ::testing::Test {
 TEST_F(OpeTest, DeterministicEncryption) {
   BoldyrevaOpe ope = SmallOpe();
   for (uint64_t x : {0ULL, 1ULL, 1000ULL, 65535ULL}) {
-    EXPECT_EQ(ope.Encrypt(x), ope.Encrypt(x));
+    EXPECT_EQ(ope.Encrypt(x).value(), ope.Encrypt(x).value());
   }
 }
 
@@ -34,8 +34,8 @@ TEST_F(OpeTest, StrictlyMonotoneOnRandomPairs) {
   for (int i = 0; i < 300; ++i) {
     uint64_t a = rng.NextBelow(1ULL << 16);
     uint64_t b = rng.NextBelow(1ULL << 16);
-    Bigint ca = ope.Encrypt(a);
-    Bigint cb = ope.Encrypt(b);
+    Bigint ca = ope.Encrypt(a).value();
+    Bigint cb = ope.Encrypt(b).value();
     EXPECT_EQ(a < b, ca < cb) << a << " " << b;
     EXPECT_EQ(a == b, ca == cb);
   }
@@ -43,9 +43,9 @@ TEST_F(OpeTest, StrictlyMonotoneOnRandomPairs) {
 
 TEST_F(OpeTest, MonotoneOnAdjacentValues) {
   BoldyrevaOpe ope = SmallOpe();
-  Bigint prev = ope.Encrypt(0);
+  Bigint prev = ope.Encrypt(0).value();
   for (uint64_t x = 1; x < 200; ++x) {
-    Bigint cur = ope.Encrypt(x);
+    Bigint cur = ope.Encrypt(x).value();
     EXPECT_LT(prev, cur) << x;
     prev = cur;
   }
@@ -53,8 +53,8 @@ TEST_F(OpeTest, MonotoneOnAdjacentValues) {
 
 TEST_F(OpeTest, DomainEndpoints) {
   BoldyrevaOpe ope = SmallOpe();
-  Bigint lo = ope.Encrypt(0);
-  Bigint hi = ope.Encrypt((1ULL << 16) - 1);
+  Bigint lo = ope.Encrypt(0).value();
+  Bigint hi = ope.Encrypt((1ULL << 16) - 1).value();
   EXPECT_LT(lo, hi);
   EXPECT_FALSE(lo.IsNegative());
   EXPECT_LE(hi.BitLength(), 32u);
@@ -65,14 +65,14 @@ TEST_F(OpeTest, DecryptInvertsEncrypt) {
   Csprng rng = Csprng::FromSeed("dec");
   for (int i = 0; i < 100; ++i) {
     uint64_t x = rng.NextBelow(1ULL << 16);
-    EXPECT_EQ(ope.Decrypt(ope.Encrypt(x)).value(), x);
+    EXPECT_EQ(ope.Decrypt(ope.Encrypt(x).value()).value(), x);
   }
 }
 
 TEST_F(OpeTest, DecryptRejectsNonCiphertexts) {
   BoldyrevaOpe ope = SmallOpe();
   // Scan a few values around a real ciphertext; non-image points must fail.
-  Bigint ct = ope.Encrypt(1234);
+  Bigint ct = ope.Encrypt(1234).value();
   size_t rejected = 0;
   for (int delta = 1; delta <= 5; ++delta) {
     if (!ope.Decrypt(ct + Bigint(delta)).ok()) ++rejected;
@@ -91,7 +91,7 @@ TEST_F(OpeTest, DifferentKeysDifferentMappings) {
   auto o2 = BoldyrevaOpe::Create(keys.Derive("b"), opts).value();
   int same = 0;
   for (uint64_t x = 0; x < 50; ++x) {
-    if (o1.Encrypt(x) == o2.Encrypt(x)) ++same;
+    if (o1.Encrypt(x).value() == o2.Encrypt(x).value()) ++same;
   }
   EXPECT_LT(same, 5);
 }
@@ -101,7 +101,7 @@ TEST_F(OpeTest, HexEncodingPreservesOrderLexicographically) {
   Csprng rng = Csprng::FromSeed("hex");
   std::string prev_hex;
   for (uint64_t x = 0; x < 300; x += 3) {
-    std::string hex = ope.EncryptToHex(x);
+    std::string hex = ope.EncryptToHex(x).value();
     EXPECT_EQ(hex.size(), static_cast<size_t>(ope.hex_width()));
     if (!prev_hex.empty()) EXPECT_LT(prev_hex, hex);
     prev_hex = hex;
@@ -115,7 +115,7 @@ TEST_F(OpeTest, FullDomainBitsWork) {
   uint64_t xs[] = {0, 1, 1ULL << 32, (1ULL << 63) + 5, ~0ULL};
   Bigint prev(-1);
   for (uint64_t x : xs) {
-    Bigint c = ope.Encrypt(x);
+    Bigint c = ope.Encrypt(x).value();
     EXPECT_LT(prev, c);
     EXPECT_EQ(ope.Decrypt(c).value(), x);
     prev = c;
@@ -146,7 +146,33 @@ TEST_F(OpeTest, GoldenHexVectors) {
     opts.range_bits = v.range_bits;
     auto ope =
         BoldyrevaOpe::Create(KeyManager("ope-golden").Derive("k"), opts).value();
-    EXPECT_EQ(ope.EncryptToHex(v.x), v.hex) << v.range_bits << " " << v.x;
+    EXPECT_EQ(ope.EncryptToHex(v.x).value(), v.hex)
+        << v.range_bits << " " << v.x;
+  }
+}
+
+// x >= 2^domain_bits has no image: the descent would take the empty right
+// subtree at every level and never reach a leaf. Encrypt fails typed.
+TEST_F(OpeTest, OutOfDomainPlaintextIsRejected) {
+  for (int domain_bits : {16, 32}) {
+    BoldyrevaOpe::Options opts;
+    opts.domain_bits = domain_bits;
+    opts.range_bits = domain_bits + 24;
+    const BoldyrevaOpe ope =
+        BoldyrevaOpe::Create(KeyManager("ope-test").Derive("k"), opts).value();
+    const uint64_t domain_end = 1ULL << domain_bits;
+    EXPECT_TRUE(ope.Encrypt(domain_end - 1).ok()) << domain_bits;
+    for (uint64_t x : {uint64_t{1} << 16, uint64_t{1} << 32, UINT64_MAX}) {
+      if (x < domain_end) {
+        EXPECT_TRUE(ope.Encrypt(x).ok()) << domain_bits << " " << x;
+        continue;
+      }
+      EXPECT_EQ(ope.Encrypt(x).status().code(), StatusCode::kInvalidArgument)
+          << domain_bits << " " << x;
+      EXPECT_EQ(ope.EncryptToHex(x).status().code(),
+                StatusCode::kInvalidArgument)
+          << domain_bits << " " << x;
+    }
   }
 }
 
@@ -166,20 +192,21 @@ TEST_F(OpeTest, RejectsBadOptions) {
 // image the tree descent produces.
 TEST_F(OpeTest, MemoHitsEqualFreshDescents) {
   BoldyrevaOpe ope = SmallOpe();
-  const Bigint first = ope.Encrypt(777);
-  for (uint64_t x = 0; x < 50; ++x) ope.Encrypt(x * 131);
-  EXPECT_EQ(ope.Encrypt(777), first);              // hit after other misses
+  const Bigint first = ope.Encrypt(777).value();
+  for (uint64_t x = 0; x < 50; ++x) ASSERT_TRUE(ope.Encrypt(x * 131).ok());
+  EXPECT_EQ(ope.Encrypt(777).value(), first);      // hit after other misses
   const BoldyrevaOpe copy = ope;                   // a copy starts empty
-  EXPECT_EQ(copy.Encrypt(777), first);
-  EXPECT_EQ(SmallOpe().Encrypt(777), first);       // so does a fresh instance
-  EXPECT_EQ(SmallOpe().EncryptToHex(777), ope.EncryptToHex(777));
+  EXPECT_EQ(copy.Encrypt(777).value(), first);
+  EXPECT_EQ(SmallOpe().Encrypt(777).value(), first);  // so does a fresh one
+  EXPECT_EQ(SmallOpe().EncryptToHex(777).value(),
+            ope.EncryptToHex(777).value());
 }
 
 TEST_F(OpeTest, DecryptRoundTripsMemoHits) {
   BoldyrevaOpe ope = SmallOpe();
   for (uint64_t x : {0ULL, 9ULL, 4242ULL, 65535ULL}) {
-    ope.Encrypt(x);                                // miss, fills the memo
-    EXPECT_EQ(ope.Decrypt(ope.Encrypt(x)).value(), x);  // hit
+    ASSERT_TRUE(ope.Encrypt(x).ok());              // miss, fills the memo
+    EXPECT_EQ(ope.Decrypt(ope.Encrypt(x).value()).value(), x);  // hit
   }
 }
 
@@ -189,11 +216,11 @@ TEST_F(OpeTest, AssignmentDropsTheOldKeysImages) {
   opts.range_bits = 32;
   KeyManager keys("ope-test");
   BoldyrevaOpe ope = BoldyrevaOpe::Create(keys.Derive("a"), opts).value();
-  const Bigint under_a = ope.Encrypt(5);
+  const Bigint under_a = ope.Encrypt(5).value();
   const BoldyrevaOpe other = BoldyrevaOpe::Create(keys.Derive("b"), opts).value();
   ope = other;
-  EXPECT_NE(ope.Encrypt(5), under_a);
-  EXPECT_EQ(ope.Encrypt(5), other.Encrypt(5));
+  EXPECT_NE(ope.Encrypt(5).value(), under_a);
+  EXPECT_EQ(ope.Encrypt(5).value(), other.Encrypt(5).value());
 }
 
 // Four threads encrypt overlapping plaintexts through one instance (and so
@@ -205,7 +232,9 @@ TEST(OpeConcurrencyTest, SharedInstanceAgreesWithSerial) {
   std::vector<std::string> serial;
   {
     const BoldyrevaOpe ope = BoldyrevaOpe::Create(key, opts).value();
-    for (uint64_t x = 0; x < 64; ++x) serial.push_back(ope.EncryptToHex(x * 97));
+    for (uint64_t x = 0; x < 64; ++x) {
+      serial.push_back(ope.EncryptToHex(x * 97).value());
+    }
   }
   const BoldyrevaOpe shared = BoldyrevaOpe::Create(key, opts).value();
   constexpr int kThreads = 4;
@@ -217,7 +246,7 @@ TEST(OpeConcurrencyTest, SharedInstanceAgreesWithSerial) {
       // threads race on the same plaintexts from different directions.
       for (uint64_t i = 0; i < 64; ++i) {
         const uint64_t x = (i + 16 * t) % 64;
-        seen[t].push_back(shared.EncryptToHex(x * 97));
+        seen[t].push_back(shared.EncryptToHex(x * 97).value());
       }
     });
   }
