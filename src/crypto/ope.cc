@@ -1,7 +1,6 @@
 #include "crypto/ope.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "crypto/hmac.h"
@@ -44,7 +43,7 @@ class Uint256 {
   /// Big-endian bytes with at most 32 significant ones.
   static Uint256 FromBigEndian(const unsigned char* p, size_t n) {
     Uint256 out;
-    LoadBigEndian(p, n, out.limbs_, kLimbs);
+    LoadBigEndian(p, n, out.limbs_);
     return out;
   }
 
@@ -54,7 +53,7 @@ class Uint256 {
   static Uint256 Mod(const unsigned char* p, size_t n, const Uint256& span) {
     constexpr int kWide = kLimbs + 1;
     mp_limb_t num[kWide] = {};
-    LoadBigEndian(p, n, num, kWide);
+    LoadBigEndian(p, n, num);
     const mp_size_t nn = static_cast<mp_size_t>((n + 7) / 8);
     const mp_size_t dn = span.Limbs();
     Uint256 rem;
@@ -129,14 +128,10 @@ class Uint256 {
 
   /// Writes the low `width` bytes big-endian (width <= 32).
   void WriteBigEndian(unsigned char* out, size_t width) const {
-    unsigned char all[kBytes];
-    for (int i = 0; i < kLimbs; ++i) {
-      const mp_limb_t limb = limbs_[kLimbs - 1 - i];
-      for (int b = 0; b < 8; ++b) {
-        all[8 * i + b] = static_cast<unsigned char>(limb >> (56 - 8 * b));
-      }
+    for (size_t i = 0; i < width; ++i) {
+      const size_t byte = width - 1 - i;  // significance of out[i]
+      out[i] = static_cast<unsigned char>(limbs_[byte / 8] >> (8 * (byte % 8)));
     }
-    std::memcpy(out, all + kBytes - width, width);
   }
 
  private:
@@ -147,17 +142,13 @@ class Uint256 {
     return 0;
   }
 
-  /// Big-endian `n` bytes (n <= 8 * count) into `count` little-endian limbs.
-  static void LoadBigEndian(const unsigned char* p, size_t n, mp_limb_t* limbs,
-                            int count) {
-    unsigned char padded[8 * (kLimbs + 1)] = {};
-    const size_t total = 8 * static_cast<size_t>(count);
-    std::memcpy(padded + total - n, p, n);
-    for (int i = 0; i < count; ++i) {
-      const unsigned char* be = padded + total - 8 * (i + 1);
-      mp_limb_t limb = 0;
-      for (int b = 0; b < 8; ++b) limb = (limb << 8) | be[b];
-      limbs[i] = limb;
+  /// Big-endian `n` bytes into zeroed little-endian `limbs` (at least
+  /// ceil(n / 8) of them).
+  static void LoadBigEndian(const unsigned char* p, size_t n,
+                            mp_limb_t* limbs) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t byte = n - 1 - i;  // significance of p[i]
+      limbs[byte / 8] |= mp_limb_t{p[i]} << (8 * (byte % 8));
     }
   }
 
