@@ -128,9 +128,14 @@ class Uint256 {
 
   /// Writes the low `width` bytes big-endian (width <= 32).
   void WriteBigEndian(unsigned char* out, size_t width) const {
-    for (size_t i = 0; i < width; ++i) {
-      const size_t byte = width - 1 - i;  // significance of out[i]
-      out[i] = static_cast<unsigned char>(limbs_[byte / 8] >> (8 * (byte % 8)));
+    size_t limb = width / 8;
+    for (size_t b = width % 8; b-- > 0;) {  // the partial top limb
+      *out++ = static_cast<unsigned char>(limbs_[limb] >> (8 * b));
+    }
+    while (limb-- > 0) {
+      for (int b = 7; b >= 0; --b) {
+        *out++ = static_cast<unsigned char>(limbs_[limb] >> (8 * b));
+      }
     }
   }
 
@@ -142,13 +147,19 @@ class Uint256 {
     return 0;
   }
 
-  /// Big-endian `n` bytes into zeroed little-endian `limbs` (at least
-  /// ceil(n / 8) of them).
+  /// Big-endian `n` bytes into the low ceil(n / 8) little-endian `limbs`.
   static void LoadBigEndian(const unsigned char* p, size_t n,
                             mp_limb_t* limbs) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t byte = n - 1 - i;  // significance of p[i]
-      limbs[byte / 8] |= mp_limb_t{p[i]} << (8 * (byte % 8));
+    size_t limb = n / 8;
+    if (n % 8 != 0) {  // the partial top limb
+      mp_limb_t v = 0;
+      for (size_t b = 0; b < n % 8; ++b) v = (v << 8) | *p++;
+      limbs[limb] = v;
+    }
+    while (limb-- > 0) {
+      mp_limb_t v = 0;
+      for (int b = 0; b < 8; ++b) v = (v << 8) | *p++;
+      limbs[limb] = v;
     }
   }
 
