@@ -57,7 +57,7 @@ class Uint256 {
     const mp_size_t nn = static_cast<mp_size_t>((n + 7) / 8);
     const mp_size_t dn = span.Limbs();
     Uint256 rem;
-    mp_limb_t quotient[kWide];
+    mp_limb_t quotient[kWide] = {};
     mpn_tdiv_qr(quotient, rem.limbs_, 0, num, nn, span.limbs_, dn);
     return rem;
   }

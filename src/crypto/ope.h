@@ -11,10 +11,10 @@
 //    equivalence, never order preservation or determinism (DESIGN.md §2).
 //    The descent runs on a fixed-width 256-bit unsigned integer kept on the
 //    stack (four 64-bit limbs; the coin reduction is one GMP mpn division),
-//    never on heap Bigints: one code path for every range_bits. Its byte contracts are fixed by golden vectors —
-//    a node's coins are PRF(key, label, NodeId) with NodeId the minimal
-//    big-endian bytes of dlo|dhi|rlo|rhi (empty for 0), reduced as
-//    FromBytes(coins) % span.
+//    never on heap Bigints: one code path for every range_bits. Golden
+//    vectors fix its byte contracts: a node's coins are PRF(key, label,
+//    NodeId), NodeId is the minimal big-endian bytes of dlo|dhi|rlo|rhi
+//    (empty for 0), and the coins reduce as FromBytes(coins) % span.
 //
 //  * DictionaryOpe — stateful and exactly order-preserving over a known
 //    domain (the paper's access-area measure already requires sharing the

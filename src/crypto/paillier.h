@@ -11,8 +11,8 @@
 //   r^n mod p^2 = (r^(q mod (p-1)) mod p)^p mod p^2   (same with p, q swapped),
 // joined with Garner's formula. A whole encryption then costs less than the
 // single r^n mod n^2 it replaces did (77 vs 169 us at 512 bits, 0.45 vs
-// 1.43 ms at 1024), and the same r gives the same ciphertext. The provider only ever
-// needs the PublicKey (Add, AddPlain, MulPlain).
+// 1.43 ms at 1024), and the same r gives the same ciphertext. The provider
+// only ever needs the PublicKey (Add, AddPlain, MulPlain).
 
 #ifndef DPE_CRYPTO_PAILLIER_H_
 #define DPE_CRYPTO_PAILLIER_H_

@@ -110,7 +110,8 @@ TEST_F(PaillierTest, RejectsOutOfRangeInputs) {
 TEST_F(PaillierTest, CrtEncryptMatchesTextbook) {
   for (int bits : {64, 512, 1024}) {
     Csprng key_rng = Csprng::FromSeed("paillier-crt-" + std::to_string(bits));
-    const Paillier::KeyPair kp = Paillier::GenerateKeyPair(bits, key_rng).value();
+    const Paillier::KeyPair kp =
+        Paillier::GenerateKeyPair(bits, key_rng).value();
     const Bigint& n = kp.pub.n;
     Csprng m_rng = Csprng::FromSeed("paillier-crt-m");
     const Bigint plaintexts[] = {Bigint(0), Bigint(1), n - Bigint(1),
